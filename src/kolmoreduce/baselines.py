@@ -6,16 +6,17 @@ the source CDF everywhere.  They are reimplemented here from their contract
 with the original tooling is out of scope.  Because the first source point
 has nothing below it to absorb it, every valid one-sided approximation on
 the source support must keep that point, which is why ``opt_trim`` pins it.
+``METHODS`` and ``approximator`` name every reducer, the optimal one too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .distribution import (
-    CumulativeView,
     DiscreteDistribution,
     kolmogorov_distance,
     one_sided_distance,
@@ -84,7 +85,7 @@ def opt_trim(x: DiscreteDistribution, m: int) -> BaselineResult:
     m = _check_m(m)
     if m >= x.n:
         return _assess(x, x)
-    view = CumulativeView(x)
+    view = x.cdf
     eps = _bottleneck_epsilon(view, m, halve=False, pinned_first=True)
     idx = _lex_min_support(view, m, eps, halve=False, pinned_first=True)
     bounds = np.concatenate((view.cum_left[idx], [view.total]))
@@ -100,3 +101,38 @@ def sample_reduce(
     empirical = sample_empirical(x, s, seed)
     approx = empirical if empirical.n <= m else reduce(empirical, m).approx
     return _assess(x, approx)
+
+
+# Reduction methods by name: the optimal reducer and the three baselines.
+METHODS = ("klm", "trim", "opttrim", "sample")
+
+
+def approximator(
+    method: str, m: int | None, *, eps: float | None = None, samples: int | None = None, seed: int = 0
+) -> Callable[[DiscreteDistribution], tuple[DiscreteDistribution, float]]:
+    """The reducer named ``method`` as ``x -> (approx, distance)``: the
+    certified distance for ``klm``, the two-sided error for the baselines.
+    ``trim`` uses ``eps`` and ignores ``m``.  Unknown methods and missing
+    parameters raise ``ValueError`` here, before any input is seen."""
+    if method not in METHODS:
+        raise ValueError(f"unknown reduction method {method!r}")
+    if method == "trim" and eps is None:
+        raise ValueError("method 'trim' needs an eps parameter")
+    if method == "sample" and samples is None:
+        raise ValueError("method 'sample' needs a samples parameter")
+    if method != "trim":
+        m = _check_m(m)
+
+    def run(x: DiscreteDistribution) -> tuple[DiscreteDistribution, float]:
+        if method == "klm":
+            r = reduce(x, m)
+            return r.approx, r.distance
+        if method == "trim":
+            b = trim_epsilon(x, eps)
+        elif method == "opttrim":
+            b = opt_trim(x, m)
+        else:
+            b = sample_reduce(x, samples, m, seed)
+        return b.approx, b.two_sided_error
+
+    return run

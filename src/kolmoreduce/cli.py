@@ -15,19 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import opt_trim, sample_reduce, trim_epsilon
+from .baselines import METHODS, approximator
 from .distribution import DiscreteDistribution, kolmogorov_distance
-from .errors import (
-    BadEpsError,
-    BadMError,
-    KolmoreduceError,
-    SupportExplosionError,
-    TooLargeError,
-)
+from .errors import KolmoreduceError, SupportExplosionError
 from .io import DistributionParseError, _atomic_write, read_distribution_file, write_distribution_file
 from .oracle import BRUTE_FORCE_LIMIT, brute_force_reduce
 from .pipeline import DEFAULT_CAP, load_tree, run_pipeline
-from .reduction import reduce
+from .reduction import _check_m, reduce
 
 CERTIFICATE_TOL = 1e-12
 
@@ -45,22 +39,6 @@ def bench_instance(n: int, seed: int, index: int) -> DiscreteDistribution:
     return DiscreteDistribution(np.arange(1, n + 1, dtype=np.float64), probs / probs.sum())
 
 
-def _bench_error(x: DiscreteDistribution, method: str, m: int, samples: int, seed: int) -> float:
-    if method == "klm":
-        return reduce(x, m).distance
-    if method == "opttrim":
-        return opt_trim(x, m).two_sided_error
-    if method == "trim":
-        # Budget m maps to eps = 1/m: a closed group plus the next leader
-        # always carry more than eps, so at most m groups can form.
-        if m < 2:
-            raise BadEpsError("trim needs m >= 2 (eps = 1/m must be below 1)")
-        return trim_epsilon(x, 1.0 / m).two_sided_error
-    if method == "sample":
-        return sample_reduce(x, samples, m, seed).two_sided_error
-    raise ValueError(f"unknown method {method!r}")
-
-
 def bench_errors(
     n: int,
     instances: int,
@@ -70,7 +48,12 @@ def bench_errors(
     samples: int = 10000,
 ) -> dict[tuple[str, int], np.ndarray]:
     """Per-instance error matrix: (method, m) -> array of d_K values, one
-    per benchmark instance."""
+    per benchmark instance.
+
+    Trim at budget m runs with eps = 1/m: a closed group plus the next
+    leader always carry more than eps, so at most m groups can form.
+    """
+    m_list = [_check_m(m) for m in m_list]
     out: dict[tuple[str, int], list[float]] = {(meth, m): [] for meth in methods for m in m_list}
     for i in range(instances):
         x = bench_instance(n, seed, i)
@@ -79,7 +62,8 @@ def bench_errors(
         draw_seed = int(np.random.SeedSequence((seed, i, 1)).generate_state(1, np.uint64)[0])
         for meth in methods:
             for m in m_list:
-                out[(meth, m)].append(_bench_error(x, meth, m, samples, draw_seed))
+                run = approximator(meth, m, eps=1.0 / m, samples=samples, seed=draw_seed)
+                out[(meth, m)].append(run(x)[1])
     return {key: np.asarray(vals) for key, vals in out.items()}
 
 
@@ -132,34 +116,13 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    x, fmt = read_distribution_file(args.file, renormalize=args.renormalize)
     method = args.method
-    if method in ("klm", "opttrim", "sample") and args.m is None:
-        print(f"error: --m is required for method {method}", file=sys.stderr)
-        return 2
-    if method == "trim" and args.eps is None:
-        print("error: --eps is required for method trim", file=sys.stderr)
-        return 2
-    if method == "sample" and args.samples is None:
-        print("error: --samples is required for method sample", file=sys.stderr)
-        return 2
-
-    if method == "klm":
-        result = reduce(x, args.m)
-        approx, distance = result.approx, result.distance
-        if abs(kolmogorov_distance(x, approx) - distance) > CERTIFICATE_TOL:
-            print("error: certified distance does not match the constructed output", file=sys.stderr)
-            return 3
-    elif method == "opttrim":
-        r = opt_trim(x, args.m)
-        approx, distance = r.approx, r.two_sided_error
-    elif method == "trim":
-        r = trim_epsilon(x, args.eps)
-        approx, distance = r.approx, r.two_sided_error
-    else:
-        r = sample_reduce(x, args.samples, args.m, args.seed)
-        approx, distance = r.approx, r.two_sided_error
-
+    run = approximator(method, args.m, eps=args.eps, samples=args.samples, seed=args.seed)
+    x, fmt = read_distribution_file(args.file, renormalize=args.renormalize)
+    approx, distance = run(x)
+    if method == "klm" and abs(kolmogorov_distance(x, approx) - distance) > CERTIFICATE_TOL:
+        print("error: certified distance does not match the constructed output", file=sys.stderr)
+        return 3
     write_distribution_file(approx, args.out, fmt)
     print(f"{method},{approx.n},{distance:.12g}")
     return 0
@@ -174,10 +137,6 @@ def _cmd_bench(args) -> int:
     if not m_list or not methods:
         print("error: empty --m or --methods list", file=sys.stderr)
         return 2
-    for meth in methods:
-        if meth not in ("klm", "opttrim", "trim", "sample"):
-            print(f"error: unknown method {meth!r}", file=sys.stderr)
-            return 2
     report = run_bench(args.n, args.instances, m_list, methods, args.seed, args.samples)
     _emit(report.to_csv(), args.out)
     return 0
@@ -243,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce a distribution's support size")
     p.add_argument("file")
     p.add_argument("--m", type=int, default=None, help="support budget")
-    p.add_argument("--method", choices=("klm", "trim", "opttrim", "sample"), default="klm")
+    p.add_argument("--method", choices=METHODS, default="klm")
     p.add_argument("--out", required=True, help="output file (input's format)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None)
@@ -264,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="exact vs reduced task-tree evaluation")
     p.add_argument("tree", help="task tree JSON file")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--method", choices=("klm", "trim", "opttrim", "sample"), default="klm")
+    p.add_argument("--method", choices=METHODS, default="klm")
     p.add_argument("--deadlines", required=True, help="comma-separated deadline values")
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -293,7 +252,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (TooLargeError, BadMError, BadEpsError, KolmoreduceError, ValueError, OSError) as exc:
+    except (KolmoreduceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

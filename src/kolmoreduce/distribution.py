@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,13 +24,14 @@ DOMINANCE_SLACK = 1e-12
 
 
 def _compensated_cumsum(probs: np.ndarray, block: int = 4096) -> np.ndarray:
-    """Prefix sums with error tracking.
+    """The ``n + 1`` prefix sums (0.0 first) of ``probs``, with error tracking.
 
     Plain ``np.cumsum`` drifts by O(n*eps), too loose for supports around
     1e6 points.  Summing per-block totals with ``math.fsum`` keeps every
     prefix within a few ULP of the correctly rounded value.
     """
-    out = np.empty_like(probs)
+    prefix = np.zeros(probs.size + 1)
+    out = prefix[1:]
     block_totals: list[float] = []
     offset = 0.0
     for start in range(0, probs.size, block):
@@ -39,7 +41,7 @@ def _compensated_cumsum(probs: np.ndarray, block: int = 4096) -> np.ndarray:
             out[start:start + seg.size] += offset
         block_totals.append(math.fsum(seg))
         offset = math.fsum(block_totals)
-    return out
+    return prefix
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +95,20 @@ class DiscreteDistribution:
             return f"DiscreteDistribution({{{pairs}}})"
         return f"DiscreteDistribution(n={self.n})"
 
+    @cached_property
+    def cdf(self) -> "CumulativeView":
+        """The prefix-sum CDF, computed on first use and kept."""
+        return CumulativeView(self)
+
 
 class CumulativeView:
     """Prefix-sum CDF over a distribution, for O(1) interval-mass queries.
 
     ``cum[i]`` is F(values[i]); ``cum_left[i]`` is the left limit
-    F(values[i]^-).  ``total`` is the realized overall mass, used as the
-    value of F just below +inf so that complementary masses cancel exactly.
+    F(values[i]^-).  Both are read-only views of one array of ``n + 1``
+    prefix sums.  ``total`` is the realized overall mass, used as the value
+    of F just below +inf so that complementary masses cancel exactly.
+    Obtain it as ``dist.cdf``, which builds it once per distribution.
     """
 
     __slots__ = ("values", "probs", "cum", "cum_left", "total")
@@ -107,15 +116,11 @@ class CumulativeView:
     def __init__(self, dist: DiscreteDistribution) -> None:
         self.values = dist.values
         self.probs = dist.probs
-        cum = _compensated_cumsum(dist.probs)
-        cum_left = np.empty_like(cum)
-        cum_left[0] = 0.0
-        cum_left[1:] = cum[:-1]
-        cum.flags.writeable = False
-        cum_left.flags.writeable = False
-        self.cum = cum
-        self.cum_left = cum_left
-        self.total = float(cum[-1])
+        prefix = _compensated_cumsum(dist.probs)
+        prefix.flags.writeable = False
+        self.cum = prefix[1:]
+        self.cum_left = prefix[:-1]
+        self.total = float(prefix[-1])
 
     def at(self, t) -> np.ndarray:
         """CDF evaluated (right-continuously) at the points of ``t``."""
@@ -164,6 +169,19 @@ def make_distribution(
     return DiscreteDistribution(uniq, merged)
 
 
+def _cdfs_on_union(a: DiscreteDistribution, b: DiscreteDistribution) -> tuple[np.ndarray, ...]:
+    """Every jump point of either CDF, and both CDFs evaluated there."""
+    ts = np.union1d(a.values, b.values)
+    return ts, a.cdf.at(ts), b.cdf.at(ts)
+
+
+def _cdf_gaps(a: DiscreteDistribution, b: DiscreteDistribution) -> np.ndarray:
+    """F_a - F_b at every jump of either, clipped to [-1, 1]: a running sum
+    of masses can end one ULP above 1."""
+    _, fa, fb = _cdfs_on_union(a, b)
+    return np.clip(fa - fb, -1.0, 1.0)
+
+
 def kolmogorov_distance(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
     """sup over t of |F_a(t) - F_b(t)|.
 
@@ -171,10 +189,7 @@ def kolmogorov_distance(a: DiscreteDistribution, b: DiscreteDistribution) -> flo
     one of them; between consecutive merged jumps the difference is the one
     already seen at the previous jump (and zero below the first).
     """
-    ts = np.union1d(a.values, b.values)
-    fa = CumulativeView(a).at(ts)
-    fb = CumulativeView(b).at(ts)
-    return float(np.max(np.abs(fa - fb)))
+    return float(np.max(np.abs(_cdf_gaps(a, b))))
 
 
 def one_sided_distance(
@@ -186,8 +201,7 @@ def one_sided_distance(
     CDF dominates the source CDF everywhere (within ``DOMINANCE_SLACK``).
     The supremum includes t below both supports, hence it is never negative.
     """
-    ts = np.union1d(x.values, approx.values)
-    gaps = CumulativeView(approx).at(ts) - CumulativeView(x).at(ts)
+    gaps = _cdf_gaps(approx, x)
     return max(0.0, float(np.max(gaps))), bool(np.min(gaps) >= -DOMINANCE_SLACK)
 
 
@@ -203,7 +217,7 @@ def project_to_support(
     which pins the distance at or below the original one.
     """
     tv = target.values
-    view = CumulativeView(xpp)
+    view = xpp.cdf
     bounds = np.empty(tv.size + 1)
     bounds[0] = 0.0
     bounds[1:-1] = view.at(tv[:-1])
@@ -227,9 +241,7 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistri
 def _combine_cdf(
     a: DiscreteDistribution, b: DiscreteDistribution, minimum: bool
 ) -> DiscreteDistribution:
-    ts = np.union1d(a.values, b.values)
-    fa = CumulativeView(a).at(ts)
-    fb = CumulativeView(b).at(ts)
+    ts, fa, fb = _cdfs_on_union(a, b)
     if minimum:
         f = 1.0 - (1.0 - fa) * (1.0 - fb)
     else:
@@ -262,8 +274,7 @@ def sample_empirical(
         raise ValueError("sample size must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(int(s))
-    view = CumulativeView(x)
-    idx = np.searchsorted(view.cum, u, side="right")
+    idx = np.searchsorted(x.cdf.cum, u, side="right")
     idx = np.minimum(idx, x.n - 1)
     uniq, counts = np.unique(idx, return_counts=True)
     return DiscreteDistribution(x.values[uniq], counts / float(s))

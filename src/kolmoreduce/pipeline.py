@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable
 
-from .baselines import opt_trim, sample_reduce, trim_epsilon
+import numpy as np
+
+from .baselines import approximator
 from .distribution import (
-    CumulativeView,
     DiscreteDistribution,
     convolve,
     kolmogorov_distance,
@@ -26,7 +27,8 @@ from .distribution import (
     min_of,
 )
 from .errors import SupportExplosionError
-from .reduction import _check_m, reduce
+# perfbench's tracer test reads pipeline.reduce, so the name stays bound here.
+from .reduction import _check_m, reduce  # noqa: F401
 
 # Exact evaluation refuses to grow an intermediate support beyond this.
 DEFAULT_CAP = 10**6
@@ -141,24 +143,6 @@ def eval_exact(tree: TaskTree, cap: int = DEFAULT_CAP) -> DiscreteDistribution:
     return acc
 
 
-def _make_reducer(
-    method: str, m: int, *, eps: float | None, samples: int | None, seed: int
-) -> Callable[[DiscreteDistribution], DiscreteDistribution]:
-    if method == "klm":
-        return lambda d: reduce(d, m).approx
-    if method == "opttrim":
-        return lambda d: opt_trim(d, m).approx
-    if method == "trim":
-        if eps is None:
-            raise ValueError("method 'trim' needs an eps parameter")
-        return lambda d: trim_epsilon(d, eps).approx
-    if method == "sample":
-        if samples is None:
-            raise ValueError("method 'sample' needs a samples parameter")
-        return lambda d: sample_reduce(d, samples, m, seed).approx
-    raise ValueError(f"unknown reduction method {method!r}")
-
-
 def eval_reduced(
     tree: TaskTree,
     m: int,
@@ -176,12 +160,12 @@ def eval_reduced(
     is invoked at each reduction step, for instrumentation.
     """
     m = _check_m(m)
-    reducer = _make_reducer(method, m, eps=eps, samples=samples, seed=seed)
+    reducer = approximator(method, m, eps=eps, samples=samples, seed=seed)
 
     def shrink(d: DiscreteDistribution) -> DiscreteDistribution:
         if d.n <= m:
             return d
-        reduced = reducer(d)
+        reduced, _ = reducer(d)
         if on_reduce is not None:
             on_reduce(d, reduced)
         return reduced
@@ -225,13 +209,10 @@ def run_pipeline(
     deadline-probability errors."""
     exact = eval_exact(tree, cap)
     approx = eval_reduced(tree, m, method, eps=eps, samples=samples, seed=seed)
-    f_exact = CumulativeView(exact)
-    f_approx = CumulativeView(approx)
-    rows = []
-    for t in deadlines:
-        fe = float(f_exact.at(t))
-        fa = float(f_approx.at(t))
-        rows.append((float(t), fe, fa, abs(fe - fa)))
+    ts = np.asarray(deadlines, dtype=np.float64)
+    fe = exact.cdf.at(ts)
+    fa = approx.cdf.at(ts)
+    rows = zip(ts.tolist(), fe.tolist(), fa.tolist(), np.abs(fe - fa).tolist())
     return PipelineReport(
         exact_support_size=exact.n,
         approx_support_size=approx.n,

@@ -32,11 +32,7 @@ class SupportSelection:
     epsilon: float
 
     def __post_init__(self) -> None:
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("a selection needs at least one index")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
-            raise ValueError("selection indices must be strictly increasing")
+        idx = _check_indices(self.indices)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
 
@@ -58,14 +54,16 @@ def _check_m(m: int) -> int:
     return int(m)
 
 
-def _check_indices(n: int, indices) -> np.ndarray:
+def _check_indices(indices, n: int | None = None) -> np.ndarray:
+    """Indices as a 1-D int64 array, non-empty and strictly increasing, and
+    within ``range(n)`` when ``n`` is given."""
     idx = np.ascontiguousarray(indices, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
-        raise ValueError("need at least one selected index")
+        raise ValueError("a selection needs at least one index")
     if idx.size > 1 and not np.all(np.diff(idx) > 0):
-        raise ValueError("selected indices must be strictly increasing")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError("selected indices out of range")
+        raise ValueError("selection indices must be strictly increasing")
+    if n is not None and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError("selection indices out of range")
     return idx
 
 
@@ -92,35 +90,29 @@ def segment_weight(cdf: CumulativeView, lo: int | None, hi: int | None) -> float
     return mass * 0.5
 
 
-def _epsilon_from_view(view: CumulativeView, idx: np.ndarray) -> float:
-    # Same float expressions as segment_weight and the DP sweep, so a
-    # recomputed epsilon matches the DP optimum bit for bit.
-    worst = float(view.cum_left[idx[0]])
-    if idx.size > 1:
-        interior = (view.cum_left[idx[1:]] - view.cum[idx[:-1]]) * 0.5
-        worst = max(worst, float(np.max(interior)))
-    return max(worst, view.total - float(view.cum[idx[-1]]))
+def _segment_weights(view: CumulativeView, idx: np.ndarray) -> np.ndarray:
+    """Weights of the ``idx.size + 1`` segments that keeping ``idx`` induces,
+    left to right.  Same float expressions as segment_weight and the DP
+    sweep, so their maximum matches the DP optimum bit for bit."""
+    w = np.empty(idx.size + 1)
+    w[0] = view.cum_left[idx[0]]
+    w[1:-1] = (view.cum_left[idx[1:]] - view.cum[idx[:-1]]) * 0.5
+    w[-1] = view.total - view.cum[idx[-1]]
+    return w
 
 
 def epsilon_for_support(x: DiscreteDistribution, indices) -> float:
     """Maximum segment weight induced by keeping ``indices`` of ``x``'s
     support: the best Kolmogorov distance achievable on that support."""
-    idx = _check_indices(x.n, indices)
-    return _epsilon_from_view(CumulativeView(x), idx)
+    return float(np.max(_segment_weights(x.cdf, _check_indices(indices, x.n))))
 
 
 def construct_on_support(x: DiscreteDistribution, indices) -> DiscreteDistribution:
     """The closest distribution to ``x`` among those supported on the given
     positions: each kept point absorbs its own mass plus the weight of the
     segments on both sides."""
-    idx = _check_indices(x.n, indices)
-    view = CumulativeView(x)
-    k = idx.size
-    w = np.empty(k + 1)
-    w[0] = view.cum_left[idx[0]]
-    if k > 1:
-        w[1:-1] = (view.cum_left[idx[1:]] - view.cum[idx[:-1]]) * 0.5
-    w[-1] = view.total - view.cum[idx[-1]]
+    idx = _check_indices(indices, x.n)
+    w = _segment_weights(x.cdf, idx)
     return DiscreteDistribution(x.values[idx], w[:-1] + w[1:] + x.probs[idx])
 
 
@@ -263,10 +255,10 @@ def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
     n = x.n
     if m >= n:
         return SupportSelection(np.arange(n, dtype=np.int64), 0.0)
-    view = CumulativeView(x)
+    view = x.cdf
     eps = _bottleneck_epsilon(view, m, halve=True, pinned_first=False)
     idx = _lex_min_support(view, m, eps, halve=True, pinned_first=False)
-    return SupportSelection(idx, _epsilon_from_view(view, idx))
+    return SupportSelection(idx, float(np.max(_segment_weights(view, idx))))
 
 
 def reduce(x: DiscreteDistribution, m: int) -> ReductionResult:

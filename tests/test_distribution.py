@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from kolmoreduce import (
     BadMassError,
@@ -98,6 +98,23 @@ class TestCumulativeView:
         assert abs(view.total - math.fsum(probs.tolist())) <= 1e-12
         assert np.all(np.diff(view.cum) > 0)
 
+    def test_cached_on_distribution(self):
+        d = make_distribution([(1, 0.2), (2, 0.3), (5, 0.5)])
+        assert d.cdf is d.cdf
+        fresh = CumulativeView(d)
+        assert np.array_equal(d.cdf.cum, fresh.cum)
+        assert np.array_equal(d.cdf.cum_left, fresh.cum_left)
+        assert d.cdf.total == fresh.total
+
+    def test_cached_view_is_read_only(self):
+        d = make_distribution([(1, 0.2), (2, 0.3), (5, 0.5)])
+        with pytest.raises(ValueError):
+            d.cdf.cum[0] = 0.0
+        with pytest.raises(ValueError):
+            d.cdf.cum_left[1] = 0.0
+        with pytest.raises(AttributeError):
+            d.cdf = CumulativeView(d)
+
 
 class TestKolmogorovDistance:
     def test_identity(self):
@@ -109,6 +126,11 @@ class TestKolmogorovDistance:
     def test_half_overlap(self):
         assert kolmogorov_distance(dist((1, 0.5), (2, 0.5)), delta(1)) == 0.5
 
+    # Running sum of these masses ends at 1.0000000000000002.
+    @example(
+        DiscreteDistribution(np.arange(6.0), np.array([6, 7, 10, 3, 10, 1]) / 37.0),
+        DiscreteDistribution(np.array([100.0]), np.array([1.0])),
+    )
     @given(distributions(), distributions())
     @settings(max_examples=100, deadline=None)
     def test_metric_symmetry_and_bounds(self, a, b):

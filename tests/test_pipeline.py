@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from kolmoreduce import (
+    METHODS,
     BadMError,
     CumulativeView,
     SupportExplosionError,
+    approximator,
     eval_exact,
     eval_reduced,
     fixture_path,
@@ -97,6 +99,20 @@ class TestEvalReduced:
             eval_reduced(leaf(COIN), 1, "trim")
         with pytest.raises(ValueError):
             eval_reduced(leaf(COIN), 1, "sample")
+        with pytest.raises(ValueError, match="unknown"):
+            approximator("magic", 4)
+        with pytest.raises(ValueError, match="eps"):
+            approximator("trim", 4)
+        with pytest.raises(ValueError, match="samples"):
+            approximator("sample", 4)
+        for method in ("klm", "opttrim", "sample"):
+            with pytest.raises(ValueError, match="budget"):
+                approximator(method, None, samples=100)
+
+    def test_every_method_reports_its_distance(self):
+        for method in METHODS:
+            approx, d = approximator(method, 4, eps=0.25, samples=500, seed=1)(UNIFORM10)
+            assert abs(d - kolmogorov_distance(UNIFORM10, approx)) <= 1e-12
 
     def test_wide_leaf_reduced_on_entry(self):
         out = eval_reduced(leaf(UNIFORM10), 4, "klm")
