@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .distribution import (
+    DOMINANCE_SLACK,
     DiscreteDistribution,
-    kolmogorov_distance,
-    one_sided_distance,
+    _cdf_gaps,
     sample_empirical,
 )
 from .errors import BadEpsError
@@ -42,8 +42,15 @@ class BaselineResult:
 
 
 def _assess(x: DiscreteDistribution, approx: DiscreteDistribution) -> BaselineResult:
-    one_sided, valid = one_sided_distance(x, approx)
-    return BaselineResult(approx, kolmogorov_distance(x, approx), one_sided, valid)
+    """Both errors and the dominance flag from one F_approx - F_x array, as
+    ``kolmogorov_distance`` and ``one_sided_distance`` compute them."""
+    gaps = _cdf_gaps(approx, x)
+    return BaselineResult(
+        approx,
+        float(np.max(np.abs(gaps))),
+        max(0.0, float(np.max(gaps))),
+        bool(np.min(gaps) >= -DOMINANCE_SLACK),
+    )
 
 
 def trim_epsilon(x: DiscreteDistribution, eps: float) -> BaselineResult:
@@ -56,18 +63,17 @@ def trim_epsilon(x: DiscreteDistribution, eps: float) -> BaselineResult:
     """
     if not 0.0 < eps < 1.0:
         raise BadEpsError(f"trim tolerance must lie in (0, 1), got {eps!r}")
-    values = x.values
-    probs = x.probs
-    keep_vals = [float(values[0])]
-    keep_mass = [float(probs[0])]
+    values = x.values.tolist()
+    probs = x.probs.tolist()
+    keep_vals = [values[0]]
+    keep_mass = [probs[0]]
     absorbed = 0.0
-    for j in range(1, x.n):
-        p = float(probs[j])
+    for v, p in zip(values[1:], probs[1:]):
         if absorbed + p <= eps:
             absorbed += p
             keep_mass[-1] += p
         else:
-            keep_vals.append(float(values[j]))
+            keep_vals.append(v)
             keep_mass.append(p)
             absorbed = 0.0
     return _assess(x, DiscreteDistribution(np.asarray(keep_vals), np.asarray(keep_mass)))

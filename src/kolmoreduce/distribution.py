@@ -44,6 +44,14 @@ def _compensated_cumsum(probs: np.ndarray, block: int = 4096) -> np.ndarray:
     return prefix
 
 
+def _check_masses(probs: np.ndarray) -> None:
+    if not np.all(probs > 0):
+        raise BadMassError("every stored probability must be strictly positive")
+    total = math.fsum(probs.tolist())
+    if abs(total - 1.0) > MASS_TOL:
+        raise BadMassError(f"total mass {total!r} is outside 1 +/- {MASS_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """A finite random variable: sorted support values with positive masses.
@@ -67,11 +75,18 @@ class DiscreteDistribution:
             raise NonFiniteValueError("support values must be finite")
         if values.size > 1 and not np.all(np.diff(values) > 0):
             raise ValueError("support values must be strictly increasing")
-        if not np.all(probs > 0):
-            raise BadMassError("every stored probability must be strictly positive")
-        total = math.fsum(probs.tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise BadMassError(f"total mass {total!r} is outside 1 +/- {MASS_TOL}")
+        _check_masses(probs)
+        self._freeze(values, probs)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
+        """Wrap float64 1-D arrays that already meet every invariant, without
+        checking them again."""
+        self = object.__new__(cls)
+        self._freeze(values, probs)
+        return self
+
+    def _freeze(self, values: np.ndarray, probs: np.ndarray) -> None:
         values.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -142,11 +157,24 @@ def make_distribution(
     within ``MASS_TOL`` of one.
     """
     table = np.asarray(list(pairs), dtype=np.float64)
-    if table.size == 0:
-        raise EmptyDistributionError("no (value, probability) pairs given")
-    if table.ndim != 2 or table.shape[1] != 2:
+    if table.size and (table.ndim != 2 or table.shape[1] != 2):
         raise ValueError("expected a sequence of (value, probability) pairs")
-    values, probs = table[:, 0], table[:, 1]
+    table = table.reshape(-1, 2)
+    return _from_columns(table[:, 0], table[:, 1], renormalize=renormalize)
+
+
+def _from_columns(values, probs, *, renormalize: bool) -> DiscreteDistribution:
+    """``make_distribution`` on a column of values and one of probabilities.
+
+    Every check runs here once: the result's invariants follow from them,
+    so it is wrapped without ``__post_init__``'s second pass.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    probs = np.asarray(probs, dtype=np.float64)
+    if values.ndim != 1 or probs.shape != values.shape:
+        raise ValueError("values and probs must be flat sequences of equal length")
+    if values.size == 0:
+        raise EmptyDistributionError("no (value, probability) pairs given")
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError("support values must be finite")
     if np.any(np.isnan(probs)) or np.any(probs < 0) or not np.all(np.isfinite(probs)):
@@ -161,12 +189,14 @@ def make_distribution(
 
     total = math.fsum(merged.tolist())
     if renormalize:
+        # Division can underflow a mass to zero, so the result is checked.
         merged = merged / total
+        _check_masses(merged)
     elif abs(total - 1.0) > MASS_TOL:
         raise BadMassError(
             f"total mass {total!r} is outside 1 +/- {MASS_TOL}; pass renormalize=True to rescale"
         )
-    return DiscreteDistribution(uniq, merged)
+    return DiscreteDistribution._checked(uniq, merged)
 
 
 def _cdfs_on_union(a: DiscreteDistribution, b: DiscreteDistribution) -> tuple[np.ndarray, ...]:

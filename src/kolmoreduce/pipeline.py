@@ -20,9 +20,9 @@ import numpy as np
 from .baselines import approximator
 from .distribution import (
     DiscreteDistribution,
+    _from_columns,
     convolve,
     kolmogorov_distance,
-    make_distribution,
     max_of,
     min_of,
 )
@@ -92,7 +92,10 @@ def tree_from_json(obj: dict, base_dir: str | None = None) -> TaskTree:
             inline = obj["inline"]
             if not isinstance(inline, dict) or "values" not in inline or "probs" not in inline:
                 raise ValueError("inline leaf needs 'values' and 'probs' lists")
-            dist = make_distribution(zip(inline["values"], inline["probs"]))
+            try:
+                dist = _from_columns(inline["values"], inline["probs"], renormalize=False)
+            except TypeError as exc:  # a non-numeric entry such as an object
+                raise ValueError(f"inline leaf: {exc}") from None
         elif "file" in obj:
             from .io import read_distribution_file
 

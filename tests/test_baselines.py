@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 from kolmoreduce import (
     BadEpsError,
     BadMError,
+    DiscreteDistribution,
+    kolmogorov_distance,
     make_distribution,
+    one_sided_distance,
     opt_trim,
     reduce,
     sample_reduce,
     trim_epsilon,
 )
+
+from kolmoreduce.baselines import _assess
 
 from conftest import distributions, random_distribution
 
@@ -78,6 +83,38 @@ class TestTrim:
         # so eps = 1/m can produce at most m groups.
         result = trim_epsilon(x, 1.0 / m)
         assert result.approx.n <= m
+
+
+def trim_reference(x, eps):
+    """trim_epsilon's grouping loop over numpy scalars, as first written."""
+    keep_vals, keep_mass, absorbed = [float(x.values[0])], [float(x.probs[0])], 0.0
+    for j in range(1, x.n):
+        p = float(x.probs[j])
+        if absorbed + p <= eps:
+            absorbed += p
+            keep_mass[-1] += p
+        else:
+            keep_vals.append(float(x.values[j]))
+            keep_mass.append(p)
+            absorbed = 0.0
+    return DiscreteDistribution(np.asarray(keep_vals), np.asarray(keep_mass))
+
+
+def test_trim_and_assess_match_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 3000))
+        x = random_distribution(rng, n=n, values=np.sort(rng.standard_normal(n)) + np.arange(n))
+        eps = float(rng.choice([1e-4, 1e-3, 1.5 / n, 0.1, 0.5]))
+        result = trim_epsilon(x, eps)
+        ref = trim_reference(x, eps)
+        assert result.approx.values.tobytes() == ref.values.tobytes()
+        assert result.approx.probs.tobytes() == ref.probs.tobytes()
+        for approx in (ref, UNIFORM4, x):
+            one_sided, valid = one_sided_distance(x, approx)
+            expected = (kolmogorov_distance(x, approx), one_sided, valid)
+            got = _assess(x, approx)
+            assert (got.two_sided_error, got.one_sided_error, got.one_sided_valid) == expected
 
 
 class TestOptTrim:

@@ -67,6 +67,17 @@ class TestMakeDistribution:
         d = make_distribution([(1, 2.0), (2, 6.0)], renormalize=True)
         assert d.probs.tolist() == [0.25, 0.75]
 
+    def test_renormalize_rejects_underflowed_mass(self):
+        with pytest.raises(BadMassError, match="strictly positive"):
+            make_distribution([(1, 5e-324), (2, 2.0)], renormalize=True)
+
+    def test_matches_strict_constructor(self):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 50, 200).astype(float)
+        d = make_distribution(zip(values.tolist(), rng.random(200).tolist()), renormalize=True)
+        assert d == DiscreteDistribution(d.values.copy(), d.probs.copy())
+        assert not d.values.flags.writeable and not d.probs.flags.writeable
+
     def test_non_finite_values_rejected(self):
         with pytest.raises(NonFiniteValueError):
             make_distribution([(float("nan"), 1.0)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kolmoreduce import (
+    DiscreteDistribution,
     DistributionParseError,
     fixture_path,
     make_distribution,
@@ -11,6 +12,7 @@ from kolmoreduce import (
     write_distribution_file,
 )
 from kolmoreduce.cli import bench_instance, main
+from kolmoreduce.io import _load_csv_table, _parse_csv_rows, _wrap_validation
 
 from conftest import random_distribution
 
@@ -68,6 +70,127 @@ class TestDistributionFiles:
             read_distribution_file(path)
         d, _ = read_distribution_file(path, renormalize=True)
         assert d.probs.tolist() == [0.5, 0.5]
+
+
+def read_or_error(read):
+    """What a reader gives: the distribution's bytes, or the error's type and message."""
+    try:
+        d = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.values.tobytes(), d.probs.tobytes()
+
+
+# (text, whether numpy's parser accepts it whole)
+CSV_CASES = {
+    "header": ("value,probability\n1,0.25\n2,0.75\n", True),
+    "no_header": ("1,0.25\n2,0.75\n", True),
+    "crlf": ("value,probability\r\n1,0.25\r\n2,0.75\r\n", True),
+    "blank_lines": ("\n1,0.25\n\n2,0.75\n\n\n", True),
+    "no_final_newline": ("1,0.25\n2,0.75", True),
+    "padded": (" 1 , 0.25 \n\t2\t,\t0.75\n", True),
+    "non_finite": ("inf,0.25\n2,0.75\n", True),
+    "bad_mass": ("1,0.25\n2,0.25\n", True),
+    "blank_header": (" , \n1,0.25\n2,0.75\n", True),
+    "whitespace_line": ("1,0.25\n   \n2,0.75\n", False),
+    "blank_fields": ("1,0.25\n,\n2,0.75\n", False),
+    "quoted": ('"1","0.25"\n2,"0.75"\n', False),
+    "quoted_header": ('"value","probability"\n1,0.25\n2,0.75\n', True),
+    "hash_header": ("# value,probability\n1,0.25\n2,0.75\n", True),
+    "hash_line": ("#values\n1,0.25\n2,0.75\n", False),
+    "hash_in_data": ("1,0.25\n#2,0.75\n", False),
+    "underscore": ("1_000,0.25\n2,0.75\n", False),
+    "unicode_digit": ("\u0661,0.25\n2,0.75\n", False),
+    "one_column": ("1\n2\n", False),
+    "three_columns": ("1,0.25,9\n2,0.75,9\n", False),
+    "three_field_header": ("a,b,c\n1,0.25\n2,0.75\n", False),
+    "late_header": ("1,0.25\nvalue,probability\n2,0.75\n", False),
+    "header_only": ("value,probability\n", False),
+    "empty": ("", False),
+}
+
+
+class TestCsvFastPath:
+    """The numpy parse must accept, read and reject exactly what the
+    per-line parser does, with the same messages."""
+
+    @pytest.mark.parametrize("name", sorted(CSV_CASES))
+    def test_matches_row_parser(self, tmp_path, recwarn, name):
+        text, fast = CSV_CASES[name]
+        path = str(tmp_path / f"{name}.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (_load_csv_table(path) is not None) == fast
+        for renormalize in (False, True):
+            expected = read_or_error(
+                lambda: _wrap_validation(path, *_parse_csv_rows(path), renormalize)
+            )
+            got = read_or_error(lambda: read_distribution_file(path, renormalize=renormalize)[0])
+            assert got == expected
+        assert not recwarn.list
+
+    def test_random_tables_read_bit_identically(self, tmp_path):
+        rng = np.random.default_rng(21)
+        for k, fmt in enumerate([".17g", "r", ".6e"] * 3):
+            n = int(rng.integers(1, 500))
+            values = rng.standard_normal(n) * 10.0 ** int(rng.integers(-300, 300))
+            probs = rng.random(n)
+            probs /= probs.sum()
+            cells = [repr(v) if fmt == "r" else format(v, fmt)
+                     for v in np.column_stack((values, probs)).ravel().tolist()]
+            path = write(tmp_path, f"r{k}.csv", "value,probability\n" * (k % 2) + "".join(
+                f"{a},{b}\n" for a, b in zip(cells[::2], cells[1::2])))
+            assert _load_csv_table(path) is not None
+            expected = read_or_error(lambda: _wrap_validation(path, *_parse_csv_rows(path), True))
+            assert read_or_error(lambda: read_distribution_file(path, renormalize=True)[0]) == expected
+
+    @pytest.mark.parametrize("body", [
+        '{"values": [[1], [2]], "probs": [0.5, 0.5]}',
+        '{"values": [[1, 2]], "probs": [1]}',
+        '{"values": [1, 2], "probs": [[0.5, 0.5], [0.5, 0.5]]}',
+        '{"values": ["a", 2], "probs": [0.5, 0.5]}',
+        '{"values": [null, 2], "probs": [0.5, 0.5]}',
+        '{"values": [1, 2], "probs": [null, 0.5]}',
+        '{"values": [1, 2, 3], "probs": [0.5, 0.5]}',
+        '{"values": [], "probs": []}',
+        '{"values": [{}], "probs": [1]}',
+    ])
+    def test_bad_json_columns_rejected(self, tmp_path, body):
+        path = write(tmp_path, "bad.json", body)
+        with pytest.raises(DistributionParseError, match="bad.json"):
+            read_distribution_file(path)
+
+
+def old_format(dist, fmt):
+    """The writers' text as formatted one number at a time."""
+    f = lambda v: format(float(v), ".17g")  # noqa: E731
+    if fmt == "csv":
+        lines = ["value,probability"]
+        lines.extend(f"{f(v)},{f(p)}" for v, p in zip(dist.values, dist.probs))
+        return "\n".join(lines) + "\n"
+    values = ", ".join(f(v) for v in dist.values)
+    probs = ", ".join(f(p) for p in dist.probs)
+    return f'{{"values": [{values}], "probs": [{probs}]}}\n'
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_match_per_number_format(tmp_path, fmt):
+    rng = np.random.default_rng(17)
+    for k in range(12):
+        n = int(rng.integers(1, 400))
+        values = np.unique(np.concatenate((
+            rng.standard_normal(n) * 10.0 ** int(rng.integers(-300, 300)),
+            [-5e-324, 5e-324, -2.2250738585072014e-308, 0.0],
+        )))
+        probs = rng.random(values.size) ** 4
+        probs[:2] = 5e-324
+        probs[2:] /= probs[2:].sum()
+        d = DiscreteDistribution(values, probs)
+        path = str(tmp_path / f"w{k}.{fmt}")
+        write_distribution_file(d, path, fmt)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            assert fh.read() == old_format(d, fmt)
+        assert read_distribution_file(path)[0] == d
 
 
 class TestCmdDistance:

@@ -53,6 +53,16 @@ class TestTreeConstruction:
         )
         assert tree.dist == make_distribution([(1, 0.5), (2, 0.5)])
 
+    @pytest.mark.parametrize("inline", [
+        {"values": [1, 2, 3], "probs": [0.5, 0.5]},
+        {"values": [{}], "probs": [1]},
+        {"values": {}, "probs": {}},
+        {"values": 1, "probs": 1},
+    ])
+    def test_bad_inline_leaf_raises_value_error(self, inline):
+        with pytest.raises(ValueError):
+            tree_from_json({"kind": "leaf", "inline": inline})
+
     def test_file_leaf_resolves_relative_to_tree(self, tmp_path):
         (tmp_path / "inner").mkdir()
         (tmp_path / "inner" / "d.csv").write_text("value,probability\n1,0.5\n2,0.5\n")
