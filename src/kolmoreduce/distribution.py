@@ -257,6 +257,17 @@ def project_to_support(
     return DiscreteDistribution(tv[keep], probs[keep])
 
 
+def _combined(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
+    """A combinator's output.  Each input's total may sit up to ``MASS_TOL``
+    from one, so a product of totals can land outside it; such an output is
+    divided by its realised total.  Every other output is kept bit for bit,
+    and a rescaled one is checked like any other."""
+    try:
+        return DiscreteDistribution(values, probs)
+    except BadMassError:
+        return DiscreteDistribution(values, probs / math.fsum(probs.tolist()))
+
+
 def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
     """Distribution of the sum of two independent variables.
 
@@ -265,7 +276,7 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistri
     sums = np.add.outer(a.values, b.values).ravel()
     masses = np.multiply.outer(a.probs, b.probs).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)
-    return DiscreteDistribution(uniq, np.bincount(inverse, weights=masses, minlength=uniq.size))
+    return _combined(uniq, np.bincount(inverse, weights=masses, minlength=uniq.size))
 
 
 def _combine_cdf(
@@ -278,7 +289,7 @@ def _combine_cdf(
         f = fa * fb
     pmf = np.diff(np.concatenate(([0.0], f)))
     keep = pmf > 0
-    return DiscreteDistribution(ts[keep], pmf[keep])
+    return _combined(ts[keep], pmf[keep])
 
 
 def max_of(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:

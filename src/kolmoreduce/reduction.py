@@ -6,8 +6,12 @@ halved for interior segments because mass there can be split between the two
 neighbouring kept points; segments touching an infinite sentinel count in
 full.  The best achievable distance using S is the maximum segment weight,
 and the best S is a minimax (bottleneck) path with a hop budget through the
-support, found here by a layered dynamic program that evaluates edge weights
-on demand instead of materializing the quadratic edge set.
+support.  A layered dynamic program finds the optimal weight, evaluating edge
+weights on demand instead of materializing the quadratic edge set.  The
+lexicographically smallest support reaching it is then extracted in O(n)
+numpy work plus an O(n) list loop: every point's farthest feasible jump from
+one ``searchsorted`` with exact fix-ups, hop counts to the exit computed
+backwards, and a forward pick of the smallest reachable next point.
 """
 
 from __future__ import annotations
@@ -178,52 +182,57 @@ def _bottleneck_epsilon(
     return float(np.min(np.maximum(b, view.total - view.cum)))
 
 
-def _farthest_feasible(
-    view: CumulativeView, j: int, eps: float, scale: float
-) -> int:
-    """Largest support index reachable from ``j`` by one edge of weight
-    <= eps; may return ``j`` itself when no such index exists."""
-    n = view.cum.size
-    limit = view.cum[j] + eps / scale
-    g = int(np.searchsorted(view.cum_left, limit, side="right")) - 1
-    g = min(max(g, j), n - 1)
-    while g + 1 < n and (view.cum_left[g + 1] - view.cum[j]) * scale <= eps:
-        g += 1
-    while g > j and (view.cum_left[g] - view.cum[j]) * scale > eps:
-        g -= 1
-    return g
-
-
 def _lex_min_support(
     view: CumulativeView, m: int, eps: float, *, halve: bool, pinned_first: bool
 ) -> np.ndarray:
     """Lexicographically smallest support set achieving bottleneck <= eps.
 
-    Greedy front-to-back construction: stop as soon as the tail mass fits
-    (a proper prefix is lexicographically smaller than any extension), else
-    take the smallest next point from which the target stays reachable
-    within the remaining hop budget.  Reachability uses minimal hop counts
-    computed backwards with farthest feasible jumps, valid because the
-    feasible-jump horizon is monotone in the start point.
+    Every start point's farthest feasible jump comes from one vectorised
+    ``searchsorted`` on ``cum + eps / scale``, corrected by whole-array +1
+    and -1 passes that repeat until no jump moves: the passes apply the
+    edge-weight expression itself, so the jumps agree with it bit for bit.
+    Minimal hop counts to the exit are then computed backwards over plain
+    lists, one step per point, valid because the feasible-jump horizon is
+    monotone in the start point.  The forward pick stops as soon as the
+    tail mass fits (a proper prefix is lexicographically smaller than any
+    extension), else takes the smallest next point from which the exit
+    stays reachable within the remaining hop budget.  Cost: O(n) numpy work
+    plus an O(n) list loop.
     """
-    n = view.cum.size
+    cum, cum_left = view.cum, view.cum_left
+    n = cum.size
     scale = 0.5 if halve else 1.0
-    exit_w = view.total - view.cum
-    unreachable = n + 2
+    start = np.arange(n)
+    far = np.searchsorted(cum_left, cum + eps / scale, side="right") - 1
+    np.clip(far, start, n - 1, out=far)
+    moving = start
+    while True:
+        moving = moving[far[moving] + 1 < n]
+        moving = moving[(cum_left[far[moving] + 1] - cum[moving]) * scale <= eps]
+        if not moving.size:
+            break
+        far[moving] += 1
+    moving = start
+    while True:
+        moving = moving[far[moving] > moving]
+        moving = moving[(cum_left[far[moving]] - cum[moving]) * scale > eps]
+        if not moving.size:
+            break
+        far[moving] -= 1
 
-    hops = np.full(n, unreachable, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        if exit_w[j] <= eps:
+    exits = ((view.total - cum) <= eps).tolist()
+    unreachable = n + 2
+    hops = [unreachable] * n
+    for j, g in zip(range(n - 1, -1, -1), far[::-1].tolist()):
+        if exits[j]:
             hops[j] = 1
-        else:
-            g = _farthest_feasible(view, j, eps, scale)
-            if g > j and hops[g] < unreachable:
-                hops[j] = 1 + hops[g]
+        elif g > j and hops[g] < unreachable:
+            hops[j] = 1 + hops[g]
 
     chosen: list[int] = [0] if pinned_first else []
     cur = 0 if pinned_first else -1
     while True:
-        if chosen and exit_w[chosen[-1]] <= eps:
+        if chosen and exits[chosen[-1]]:
             break
         rem = m - len(chosen)
         if rem <= 0:
@@ -234,9 +243,9 @@ def _lex_min_support(
         if j >= n:
             raise AssertionError("bottleneck extraction found no reachable next point")
         if cur < 0:
-            edge = float(view.cum_left[j])
+            edge = float(cum_left[j])
         else:
-            edge = (view.cum_left[j] - view.cum[cur]) * scale
+            edge = (cum_left[j] - cum[cur]) * scale
         if edge > eps:
             raise AssertionError("bottleneck extraction hit an infeasible edge")
         chosen.append(j)
@@ -257,8 +266,9 @@ def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
         return SupportSelection(np.arange(n, dtype=np.int64), 0.0)
     view = x.cdf
     eps = _bottleneck_epsilon(view, m, halve=True, pinned_first=False)
-    idx = _lex_min_support(view, m, eps, halve=True, pinned_first=False)
-    return SupportSelection(idx, float(np.max(_segment_weights(view, idx))))
+    # The extraction keeps every segment weight <= eps, and no support of
+    # size m does better, so eps is the selection's maximum segment weight.
+    return SupportSelection(_lex_min_support(view, m, eps, halve=True, pinned_first=False), eps)
 
 
 def reduce(x: DiscreteDistribution, m: int) -> ReductionResult:

@@ -19,6 +19,7 @@ from kolmoreduce import (
     project_to_support,
     sample_empirical,
 )
+from kolmoreduce.distribution import MASS_TOL
 
 from conftest import distributions, random_distribution
 
@@ -33,6 +34,8 @@ def delta(v):
 
 UNIFORM4 = dist((1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25))
 COIN = dist((0, 0.5), (1, 0.5))
+# Total mass 1 + 9e-10: inside MASS_TOL, but its square is not.
+DRIFTED = dist((0, 0.5), (1, 0.5 + 9e-10))
 
 
 class TestMakeDistribution:
@@ -259,6 +262,19 @@ class TestCombinators:
         sb = 1.0 - CumulativeView(b).at(ts)
         sc = 1.0 - CumulativeView(combined).at(ts)
         assert np.allclose(sc, sa * sb, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("combine", [convolve, max_of, min_of])
+    def test_accepts_inputs_with_drifted_total(self, combine):
+        out = combine(DRIFTED, DRIFTED)
+        assert abs(math.fsum(out.probs.tolist()) - 1.0) <= MASS_TOL
+        assert np.allclose(out.probs, combine(COIN, COIN).probs, rtol=0, atol=1e-8)
+
+    def test_accepted_outputs_are_not_rescaled(self):
+        # min_of's total stays inside MASS_TOL, so its masses are the plain
+        # differences of 1 - (1 - F)^2.
+        f = DRIFTED.cdf.at(DRIFTED.values)
+        pmf = np.diff(np.concatenate(([0.0], 1.0 - (1.0 - f) * (1.0 - f))))
+        assert np.array_equal(min_of(DRIFTED, DRIFTED).probs, pmf)
 
 
 class TestSampling:

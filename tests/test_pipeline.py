@@ -23,6 +23,7 @@ from kolmoreduce import (
     seq,
     tree_from_json,
 )
+from kolmoreduce.distribution import MASS_TOL
 
 from conftest import random_distribution
 
@@ -32,6 +33,10 @@ UNIFORM10 = make_distribution([(v, 0.1) for v in range(10)])
 
 def delta(v):
     return make_distribution([(v, 1.0)])
+
+
+# Total mass 1 + 9e-10: inside MASS_TOL, but a combine of two is not.
+DRIFTED = make_distribution([(0, 0.5), (1, 0.5 + 9e-10)])
 
 
 class TestTreeConstruction:
@@ -154,6 +159,17 @@ class TestEvalReduced:
         for d in (eval_exact(tree), eval_reduced(tree, 7, "klm")):
             f = CumulativeView(d).at(ts)
             assert np.all(np.diff(f) >= 0)
+
+    @pytest.mark.parametrize("node", [seq, max_node, min_node])
+    def test_deep_chains_of_drifted_leaves(self, node):
+        tree = node(*[leaf(DRIFTED) for _ in range(12)])
+        exact = eval_exact(tree)
+        assert abs(exact.cdf.total - 1.0) <= MASS_TOL
+        assert eval_reduced(tree, 13, "klm") == exact
+        for m in (1, 2, 4):
+            reduced = eval_reduced(tree, m, "klm")
+            assert reduced.n <= m
+            assert abs(reduced.cdf.total - 1.0) <= MASS_TOL
 
 
 class TestShippedFixture:

@@ -16,6 +16,8 @@ from kolmoreduce import (
     segment_weight,
 )
 
+from kolmoreduce.reduction import _bottleneck_epsilon, _lex_min_support
+
 from conftest import distributions, random_distribution
 
 UNIFORM3 = make_distribution([(1, 1 / 3), (2, 1 / 3), (3, 1 / 3)])
@@ -206,3 +208,75 @@ class TestReduce:
         # No variable with as small a support can beat the reduction.
         result = reduce(x, y.n)
         assert result.distance <= kolmogorov_distance(x, y) + 1e-12
+
+
+def _slow_farthest_feasible(view, j, eps, scale):
+    """Reference: the farthest index one edge of weight <= eps reaches from
+    ``j``, found point by point with a scalar searchsorted and +-1 steps."""
+    n = view.cum.size
+    limit = view.cum[j] + eps / scale
+    g = int(np.searchsorted(view.cum_left, limit, side="right")) - 1
+    g = min(max(g, j), n - 1)
+    while g + 1 < n and (view.cum_left[g + 1] - view.cum[j]) * scale <= eps:
+        g += 1
+    while g > j and (view.cum_left[g] - view.cum[j]) * scale > eps:
+        g -= 1
+    return g
+
+
+def _slow_lex_min_support(view, m, eps, *, halve, pinned_first):
+    """Reference extraction: one farthest-jump search per point, backward
+    hop counts and the forward pick over numpy scalars."""
+    n = view.cum.size
+    scale = 0.5 if halve else 1.0
+    exit_w = view.total - view.cum
+    unreachable = n + 2
+    hops = np.full(n, unreachable, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        if exit_w[j] <= eps:
+            hops[j] = 1
+        else:
+            g = _slow_farthest_feasible(view, j, eps, scale)
+            if g > j and hops[g] < unreachable:
+                hops[j] = 1 + hops[g]
+    chosen = [0] if pinned_first else []
+    cur = 0 if pinned_first else -1
+    while not (chosen and exit_w[chosen[-1]] <= eps):
+        rem = m - len(chosen)
+        assert rem > 0
+        j = cur + 1
+        while j < n and hops[j] > rem:
+            j += 1
+        assert j < n
+        edge = view.cum_left[j] if cur < 0 else (view.cum_left[j] - view.cum[cur]) * scale
+        assert edge <= eps
+        chosen.append(j)
+        cur = j
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def _masses(rng, kind, n):
+    if kind == "uniform":
+        p = rng.random(n)
+    elif kind == "pareto":
+        p = rng.pareto(1.1, n) + 1e-6
+    elif kind == "spiky":
+        p = rng.random(n) ** 12 + 1e-12
+        p[rng.integers(0, n, 3)] += 1.0
+    else:  # tied integer masses: many edge weights equal epsilon exactly
+        p = rng.integers(1, 4, n).astype(np.float64)
+    return p / p.sum()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "pareto", "spiky", "tied"])
+def test_lex_min_support_matches_slow_reference(kind):
+    rng = np.random.default_rng(["uniform", "pareto", "spiky", "tied"].index(kind))
+    cases = [(int(rng.integers(2, 300)), int(rng.integers(1, 71))) for _ in range(90)]
+    cases += [(int(rng.integers(1000, 4001)), int(rng.integers(1, 9))) for _ in range(6)]
+    for n, m in cases:
+        view = DiscreteDistribution(np.arange(n, dtype=np.float64), _masses(rng, kind, n)).cdf
+        for halve, pinned_first in ((True, False), (False, True)):
+            eps = _bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
+            fast = _lex_min_support(view, m, eps, halve=halve, pinned_first=pinned_first)
+            slow = _slow_lex_min_support(view, m, eps, halve=halve, pinned_first=pinned_first)
+            assert fast.tolist() == slow.tolist(), (kind, n, m, halve)
