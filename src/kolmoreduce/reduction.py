@@ -7,11 +7,20 @@ neighbouring kept points; segments touching an infinite sentinel count in
 full.  The best achievable distance using S is the maximum segment weight,
 and the best S is a minimax (bottleneck) path with a hop budget through the
 support.  A layered dynamic program finds the optimal weight, evaluating edge
-weights on demand instead of materializing the quadratic edge set.  The
-lexicographically smallest support reaching it is then extracted in O(n)
-numpy work plus an O(n) list loop: every point's farthest feasible jump from
-one ``searchsorted`` with exact fix-ups, hop counts to the exit computed
-backwards, and a forward pick of the smallest reachable next point.
+weights on demand instead of materializing the quadratic edge set.  It
+carries an upper bound on the optimum, seeded by the support at the mass
+quantiles and lowered after each layer, and each column block evaluates only
+the rows from the first one whose edge into it can weigh at most the bound.
+Edge weights grow with the target and shrink with the source, so every
+skipped edge is heavier than the optimum, the optimal path keeps all of its
+edges, and the optimum comes out bit for bit as from the dense O(n^2 m)
+sweep.  With evenly spread masses the bound is near 1 / 2m, about n / m rows
+remain before each block, and the cost falls to about O(n (n / m + block) m).
+The lexicographically smallest support reaching the optimum is then
+extracted in O(n) numpy work plus an O(n) list loop: every point's farthest
+feasible jump from one ``searchsorted`` with exact fix-ups, hop counts to the
+exit computed backwards, and a forward pick of the smallest reachable next
+point.
 """
 
 from __future__ import annotations
@@ -94,13 +103,15 @@ def segment_weight(cdf: CumulativeView, lo: int | None, hi: int | None) -> float
     return mass * 0.5
 
 
-def _segment_weights(view: CumulativeView, idx: np.ndarray) -> np.ndarray:
+def _segment_weights(view: CumulativeView, idx: np.ndarray, scale: float = 0.5) -> np.ndarray:
     """Weights of the ``idx.size + 1`` segments that keeping ``idx`` induces,
-    left to right.  Same float expressions as segment_weight and the DP
-    sweep, so their maximum matches the DP optimum bit for bit."""
+    left to right, with interior masses multiplied by ``scale`` (0.5 for the
+    two-sided reduction, 1.0 for the one-sided one).  Same float expressions
+    as segment_weight and the DP sweep, so their maximum matches the DP
+    value of that support bit for bit."""
     w = np.empty(idx.size + 1)
     w[0] = view.cum_left[idx[0]]
-    w[1:-1] = (view.cum_left[idx[1:]] - view.cum[idx[:-1]]) * 0.5
+    w[1:-1] = (view.cum_left[idx[1:]] - view.cum[idx[:-1]]) * scale
     w[-1] = view.total - view.cum[idx[-1]]
     return w
 
@@ -126,18 +137,32 @@ def _bottleneck_layers(
     cum_left: np.ndarray,
     rounds: int,
     scale: float,
-) -> np.ndarray:
+    tail: np.ndarray,
+    bound: float,
+) -> tuple[np.ndarray, int]:
     """Run ``rounds`` relaxation layers of the hop-bounded bottleneck DP.
 
     ``entry`` holds the best bottleneck value per support point before any
     relaxation; each layer allows one more edge ("at most k" semantics, so
     values only improve).  Edges are evaluated on demand in column blocks:
     scratch memory stays at O(n * block) regardless of n.
+
+    ``bound`` is an upper bound on the optimum that the caller took from a
+    feasible support, or inf to evaluate every row; after each layer it
+    drops to the value the layers so far reach (``tail`` holds the exit
+    weights).  A block skips the rows before the first one whose edge into
+    the block's lowest target weighs at most ``bound``, by the edges' own
+    float expression.  Edge weights only grow with the target, so every
+    skipped edge weighs more than ``bound``, hence more than the optimum.
+    Skipping only raises values, and the optimal path keeps all its edges,
+    so the final minimum over exits is the dense DP's float bit for bit.
+    Returns the values and the number of edge weights evaluated.
     """
     n = cum.size
     b = entry.copy()
+    cells = 0
     if rounds <= 0 or n == 1:
-        return b
+        return b, cells
     block = _DP_BLOCK
     corner_mask = np.tri(min(block, n), min(block, n), 0, dtype=bool)
     for _ in range(rounds):
@@ -147,9 +172,17 @@ def _bottleneck_layers(
             e = min(a + block, n)
             width = e - a
             target_left = cum_left[a:e]
+            lo = a
             if a:
-                w = (target_left[None, :] - cum[:a, None]) * scale
-                np.maximum(w, prev[:a, None], out=w)
+                # The block minimum, not cum_left[a]: the prefix sums can
+                # step down slightly where _compensated_cumsum starts a block.
+                kept = (target_left.min() - cum[:a]) * scale <= bound
+                first = int(kept.argmax())
+                if kept[first]:
+                    lo = first
+            if lo < a:
+                w = (target_left[None, :] - cum[lo:a, None]) * scale
+                np.maximum(w, prev[lo:a, None], out=w)
                 best = w.min(axis=0)
             else:
                 best = np.full(width, np.inf)
@@ -158,18 +191,35 @@ def _bottleneck_layers(
             w[corner_mask[:width, :width]] = np.inf
             np.minimum(best, w.min(axis=0), out=best)
             np.minimum(b[a:e], best, out=b[a:e])
-    return b
+            cells += (e - lo) * width
+        if n > block:
+            bound = min(bound, float(np.min(np.maximum(b, tail))))
+    return b, cells
+
+
+def _quantile_support(view: CumulativeView, m: int, pinned_first: bool) -> np.ndarray:
+    """A cheap feasible support of at most ``m`` points: the first points
+    reaching the mass quantiles ``(i + 0.5) / k``, with k = m, or index 0
+    plus m - 1 quantiles when the first point is pinned."""
+    k = m - 1 if pinned_first else m
+    q = (np.arange(k) + 0.5) / k * view.total
+    idx = np.searchsorted(view.cum, q)  # q <= total == cum[-1], so idx < n
+    if pinned_first:
+        idx = np.concatenate(([0], idx))
+    return np.unique(idx)
 
 
 def _bottleneck_epsilon(
     view: CumulativeView, m: int, *, halve: bool, pinned_first: bool
-) -> float:
-    """Optimal bottleneck value over supports of size at most ``m``.
+) -> tuple[float, int]:
+    """Optimal bottleneck value over supports of size at most ``m``, and the
+    number of edge weights the DP evaluated to find it.
 
     ``halve`` selects interior-segment halving (two-sided reduction) or full
     interior masses (one-sided).  With ``pinned_first`` the first support
     point is forced to be the smallest source point and only entry-free
-    paths from it are considered.
+    paths from it are considered.  When the DP has more than one column
+    block, the quantile support's maximum segment weight seeds its bound.
     """
     n = view.cum.size
     scale = 0.5 if halve else 1.0
@@ -178,8 +228,13 @@ def _bottleneck_epsilon(
         entry[0] = 0.0
     else:
         entry = view.cum_left.astype(np.float64, copy=True)
-    b = _bottleneck_layers(entry, view.cum, view.cum_left, m - 1, scale)
-    return float(np.min(np.maximum(b, view.total - view.cum)))
+    tail = view.total - view.cum
+    bound = np.inf
+    if n > _DP_BLOCK and m > 1:
+        support = _quantile_support(view, m, pinned_first)
+        bound = float(np.max(_segment_weights(view, support, scale)))
+    b, cells = _bottleneck_layers(entry, view.cum, view.cum_left, m - 1, scale, tail, bound)
+    return float(np.min(np.maximum(b, tail))), cells
 
 
 def _lex_min_support(
@@ -265,7 +320,7 @@ def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
     if m >= n:
         return SupportSelection(np.arange(n, dtype=np.int64), 0.0)
     view = x.cdf
-    eps = _bottleneck_epsilon(view, m, halve=True, pinned_first=False)
+    eps, _ = _bottleneck_epsilon(view, m, halve=True, pinned_first=False)
     # The extraction keeps every segment weight <= eps, and no support of
     # size m does better, so eps is the selection's maximum segment weight.
     return SupportSelection(_lex_min_support(view, m, eps, halve=True, pinned_first=False), eps)

@@ -16,7 +16,13 @@ from kolmoreduce import (
     segment_weight,
 )
 
-from kolmoreduce.reduction import _bottleneck_epsilon, _lex_min_support
+from kolmoreduce.reduction import (
+    _DP_BLOCK,
+    _bottleneck_epsilon,
+    _lex_min_support,
+    _quantile_support,
+    _segment_weights,
+)
 
 from conftest import distributions, random_distribution
 
@@ -276,7 +282,110 @@ def test_lex_min_support_matches_slow_reference(kind):
     for n, m in cases:
         view = DiscreteDistribution(np.arange(n, dtype=np.float64), _masses(rng, kind, n)).cdf
         for halve, pinned_first in ((True, False), (False, True)):
-            eps = _bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
+            eps, _ = _bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
             fast = _lex_min_support(view, m, eps, halve=halve, pinned_first=pinned_first)
             slow = _slow_lex_min_support(view, m, eps, halve=halve, pinned_first=pinned_first)
             assert fast.tolist() == slow.tolist(), (kind, n, m, halve)
+
+
+def _dense_bottleneck_layers(entry, cum, cum_left, rounds, scale):
+    """Reference: the bottleneck DP without a bound, every row of every
+    column block evaluated."""
+    n = cum.size
+    b = entry.copy()
+    if rounds <= 0 or n == 1:
+        return b
+    block = _DP_BLOCK
+    corner_mask = np.tri(min(block, n), min(block, n), 0, dtype=bool)
+    for _ in range(rounds):
+        prev = b
+        b = prev.copy()
+        for a in range(0, n, block):
+            e = min(a + block, n)
+            width = e - a
+            target_left = cum_left[a:e]
+            if a:
+                w = (target_left[None, :] - cum[:a, None]) * scale
+                np.maximum(w, prev[:a, None], out=w)
+                best = w.min(axis=0)
+            else:
+                best = np.full(width, np.inf)
+            w = (target_left[None, :] - cum[a:e, None]) * scale
+            np.maximum(w, prev[a:e, None], out=w)
+            w[corner_mask[:width, :width]] = np.inf
+            np.minimum(best, w.min(axis=0), out=best)
+            np.minimum(b[a:e], best, out=b[a:e])
+    return b
+
+
+def _dense_bottleneck_epsilon(view, m, *, halve, pinned_first):
+    n = view.cum.size
+    scale = 0.5 if halve else 1.0
+    if pinned_first:
+        entry = np.full(n, np.inf)
+        entry[0] = 0.0
+    else:
+        entry = view.cum_left.astype(np.float64, copy=True)
+    b = _dense_bottleneck_layers(entry, view.cum, view.cum_left, m - 1, scale)
+    return float(np.min(np.maximum(b, view.total - view.cum)))
+
+
+def _check_against_dense(view, m, modes=((True, False), (False, True))):
+    n = view.cum.size
+    for halve, pinned_first in modes:
+        eps, cells = _bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
+        assert eps == _dense_bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first), (
+            n, m, halve,
+        )
+        blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]
+        assert 0 < cells <= (m - 1) * sum((e - a) * e for a, e in blocks)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "pareto", "spiky", "tied"])
+def test_bottleneck_epsilon_matches_dense_reference(kind):
+    rng = np.random.default_rng(10 + ["uniform", "pareto", "spiky", "tied"].index(kind))
+    cases = [(int(rng.integers(257, 1000)), int(rng.integers(2, 71))) for _ in range(6)]
+    cases += [(int(rng.integers(1000, 4001)), int(rng.integers(2, 7))) for _ in range(2)]
+    for n, m in cases:
+        _check_against_dense(
+            DiscreteDistribution(np.arange(n, dtype=np.float64), _masses(rng, kind, n)).cdf, m
+        )
+
+
+@pytest.mark.parametrize(
+    "n, m, halve",
+    [(768, 25, True), (1024, 16, True), (2048, 8, True), (4000, 5, True),
+     (768, 66, False), (1025, 44, False), (2047, 2, False), (3072, 2, False)],
+)
+def test_bottleneck_epsilon_matches_dense_reference_at_tight_bound(n, m, halve):
+    # Equal masses where the quantile support is already optimal: the DP's
+    # bound starts at the optimum, so rows whose edge weighs exactly the
+    # bound are needed and the row rule's "<=" decides.
+    view = DiscreteDistribution(np.arange(n, dtype=np.float64), np.full(n, 1.0 / n)).cdf
+    pinned_first = not halve
+    support = _quantile_support(view, m, pinned_first)
+    bound = float(np.max(_segment_weights(view, support, 0.5 if halve else 1.0)))
+    assert bound == _dense_bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
+    _check_against_dense(view, m, [(halve, pinned_first)])
+
+
+@pytest.mark.parametrize(
+    "weights, halve",
+    [
+        # Entry 100, a heavy point at 100, edge 300 / 2 into the block start
+        # 256 past a heavy point there, tail 100: only {100, 256} reaches 150.
+        ([1] * 100 + [300] + [300 / 155] * 155 + [400] + [100 / 255] * 255, True),
+        # Pinned at 0, edge 255 * 7 into 256 past a heavy point there, tail
+        # 255 * 6: only {0, 256} reaches 255 * 7.
+        ([7] * 256 + [1000] + [6] * 255, False),
+    ],
+)
+def test_bottleneck_epsilon_keeps_the_row_whose_edge_equals_the_bound(weights, halve):
+    # The optimal path's only edge into the second column block weighs
+    # exactly the bound, so the row rule must keep a row at equality.
+    p = np.asarray(weights, dtype=np.float64)
+    view = DiscreteDistribution(np.arange(p.size, dtype=np.float64), p / p.sum()).cdf
+    pinned_first = not halve
+    support = _quantile_support(view, 2, pinned_first)
+    assert support.tolist() == ([100, 256] if halve else [0, 256])
+    _check_against_dense(view, 2, [(halve, pinned_first)])
