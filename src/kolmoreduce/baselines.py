@@ -92,8 +92,8 @@ def opt_trim(x: DiscreteDistribution, m: int) -> BaselineResult:
     if m >= x.n:
         return _assess(x, x)
     view = x.cdf
-    eps, _ = _bottleneck_epsilon(view, m, halve=False, pinned_first=True)
-    idx = _lex_min_support(view, m, eps, halve=False, pinned_first=True)
+    eps, _ = _bottleneck_epsilon(view, m, one_sided=True)
+    idx = _lex_min_support(view, m, eps, one_sided=True)
     bounds = np.concatenate((view.cum_left[idx], [view.total]))
     return _assess(x, DiscreteDistribution(x.values[idx], np.diff(bounds)))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,40 +66,6 @@ def bench_errors(
     return {key: np.asarray(vals) for key, vals in out.items()}
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    """Aggregated benchmark table, one row per (method, m)."""
-
-    rows: tuple[tuple[str, int, float, float, int, int, int], ...]
-
-    def to_csv(self) -> str:
-        lines = [BENCH_HEADER]
-        for method, m, mean, std, instances, n, seed in self.rows:
-            lines.append(
-                f"{method},{m},{mean:.17g},{std:.17g},{instances},{n},{seed}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def run_bench(
-    n: int,
-    instances: int,
-    m_list: list[int],
-    methods: list[str],
-    seed: int,
-    samples: int = 10000,
-) -> BenchReport:
-    """Benchmark every method at every budget on shared random instances."""
-    errors = bench_errors(n, instances, m_list, methods, seed, samples)
-    rows = []
-    for method in methods:
-        for m in m_list:
-            errs = errors[(method, m)]
-            std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
-            rows.append((method, m, float(np.mean(errs)), std, instances, n, seed))
-    return BenchReport(tuple(rows))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -137,8 +102,17 @@ def _cmd_bench(args) -> int:
     if not m_list or not methods:
         print("error: empty --m or --methods list", file=sys.stderr)
         return 2
-    report = run_bench(args.n, args.instances, m_list, methods, args.seed, args.samples)
-    _emit(report.to_csv(), args.out)
+    errors = bench_errors(args.n, args.instances, m_list, methods, args.seed, args.samples)
+    lines = [BENCH_HEADER]
+    for method in methods:
+        for m in m_list:
+            errs = errors[(method, m)]
+            std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
+            lines.append(
+                f"{method},{m},{float(np.mean(errs)):.17g},{std:.17g},"
+                f"{args.instances},{args.n},{args.seed}"
+            )
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

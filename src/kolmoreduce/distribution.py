@@ -28,7 +28,10 @@ def _compensated_cumsum(probs: np.ndarray, block: int = 4096) -> np.ndarray:
 
     Plain ``np.cumsum`` drifts by O(n*eps), too loose for supports around
     1e6 points.  Summing per-block totals with ``math.fsum`` keeps every
-    prefix within a few ULP of the correctly rounded value.
+    prefix within a few ULP of the correctly rounded value.  A block's
+    naive sums can end an ULP above the next block's exact offset, so each
+    block is clamped from below by the sum before it, which keeps the sums
+    non-decreasing.
     """
     prefix = np.zeros(probs.size + 1)
     out = prefix[1:]
@@ -36,9 +39,11 @@ def _compensated_cumsum(probs: np.ndarray, block: int = 4096) -> np.ndarray:
     offset = 0.0
     for start in range(0, probs.size, block):
         seg = probs[start:start + block]
-        np.cumsum(seg, out=out[start:start + seg.size])
+        dst = out[start:start + seg.size]
+        np.cumsum(seg, out=dst)
         if offset:
-            out[start:start + seg.size] += offset
+            dst += offset
+            np.maximum(dst, out[start - 1], out=dst)
         block_totals.append(math.fsum(seg))
         offset = math.fsum(block_totals)
     return prefix

@@ -123,6 +123,20 @@ def fixture_path(name: str) -> str:
     return str(resources.files("kolmoreduce").joinpath("fixtures", f"{name}.json"))
 
 
+def _fold(
+    tree: TaskTree, after: Callable[[DiscreteDistribution], DiscreteDistribution]
+) -> DiscreteDistribution:
+    """Fold the tree left to right, passing every leaf's distribution and
+    every combine's output through ``after``."""
+    if tree.kind == "leaf":
+        return after(tree.dist)
+    combine = _COMBINE[tree.kind]
+    acc = _fold(tree.children[0], after)
+    for child in tree.children[1:]:
+        acc = after(combine(acc, _fold(child, after)))
+    return acc
+
+
 def eval_exact(tree: TaskTree, cap: int = DEFAULT_CAP) -> DiscreteDistribution:
     """Fold the tree without any reduction.
 
@@ -137,13 +151,7 @@ def eval_exact(tree: TaskTree, cap: int = DEFAULT_CAP) -> DiscreteDistribution:
             )
         return d
 
-    if tree.kind == "leaf":
-        return guard(tree.dist)
-    combine = _COMBINE[tree.kind]
-    acc = eval_exact(tree.children[0], cap)
-    for child in tree.children[1:]:
-        acc = guard(combine(acc, eval_exact(child, cap)))
-    return acc
+    return _fold(tree, guard)
 
 
 def eval_reduced(
@@ -173,16 +181,7 @@ def eval_reduced(
             on_reduce(d, reduced)
         return reduced
 
-    def walk(node: TaskTree) -> DiscreteDistribution:
-        if node.kind == "leaf":
-            return shrink(node.dist)
-        combine = _COMBINE[node.kind]
-        acc = walk(node.children[0])
-        for child in node.children[1:]:
-            acc = shrink(combine(acc, walk(child)))
-        return acc
-
-    return walk(tree)
+    return _fold(tree, shrink)
 
 
 @dataclass(frozen=True)

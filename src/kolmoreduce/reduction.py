@@ -7,20 +7,22 @@ neighbouring kept points; segments touching an infinite sentinel count in
 full.  The best achievable distance using S is the maximum segment weight,
 and the best S is a minimax (bottleneck) path with a hop budget through the
 support.  A layered dynamic program finds the optimal weight, evaluating edge
-weights on demand instead of materializing the quadratic edge set.  It
-carries an upper bound on the optimum, seeded by the support at the mass
-quantiles and lowered after each layer, and each column block evaluates only
-the rows from the first one whose edge into it can weigh at most the bound.
-Edge weights grow with the target and shrink with the source, so every
-skipped edge is heavier than the optimum, the optimal path keeps all of its
-edges, and the optimum comes out bit for bit as from the dense O(n^2 m)
-sweep.  With evenly spread masses the bound is near 1 / 2m, about n / m rows
-remain before each block, and the cost falls to about O(n (n / m + block) m).
-The lexicographically smallest support reaching the optimum is then
-extracted in O(n) numpy work plus an O(n) list loop: every point's farthest
-feasible jump from one ``searchsorted`` with exact fix-ups, hop counts to the
-exit computed backwards, and a forward pick of the smallest reachable next
-point.
+weights on demand instead of materializing the quadratic edge set.  An
+upper bound on the optimum, the maximum segment weight of the support at
+the mass quantiles, is fixed once per call, and each column block
+evaluates only the rows from the first one whose edge into it can weigh at
+most the bound.  Edge weights grow with the target and shrink with the
+source, so every skipped edge is heavier than the optimum, the optimal path
+keeps all of its edges, and the optimum comes out bit for bit as from the
+dense O(n^2 m) sweep.  With evenly spread masses the bound is near 1 / 2m,
+about n / m rows remain before each block, and the cost falls to about
+O(n (n / m + block) m).  The same search serves the one-sided reduction
+(``one_sided``): interior segments count in full and the first support
+point is pinned to the smallest source point.  The lexicographically
+smallest support reaching the optimum is then extracted in O(n) numpy work
+plus an O(n) list loop: every point's farthest feasible jump from one
+``searchsorted`` with exact fix-ups, hop counts to the exit computed
+backwards, and a forward pick of the smallest reachable next point.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .errors import BadMError
 
 # Column width of the blocked DP sweep; bounds scratch memory at n*block floats.
 _DP_BLOCK = 256
+# Floor for a block's own edge weights: +inf removes the edges into a target
+# at or before the source, -inf leaves every other weight as it is.
+_CORNER_FLOOR = np.where(np.tri(_DP_BLOCK, _DP_BLOCK, 0, dtype=bool), np.inf, -np.inf)
+_CORNER_FLOOR.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,115 +137,78 @@ def construct_on_support(x: DiscreteDistribution, indices) -> DiscreteDistributi
     return DiscreteDistribution(x.values[idx], w[:-1] + w[1:] + x.probs[idx])
 
 
-def _bottleneck_layers(
-    entry: np.ndarray,
-    cum: np.ndarray,
-    cum_left: np.ndarray,
-    rounds: int,
-    scale: float,
-    tail: np.ndarray,
-    bound: float,
-) -> tuple[np.ndarray, int]:
-    """Run ``rounds`` relaxation layers of the hop-bounded bottleneck DP.
-
-    ``entry`` holds the best bottleneck value per support point before any
-    relaxation; each layer allows one more edge ("at most k" semantics, so
-    values only improve).  Edges are evaluated on demand in column blocks:
-    scratch memory stays at O(n * block) regardless of n.
-
-    ``bound`` is an upper bound on the optimum that the caller took from a
-    feasible support, or inf to evaluate every row; after each layer it
-    drops to the value the layers so far reach (``tail`` holds the exit
-    weights).  A block skips the rows before the first one whose edge into
-    the block's lowest target weighs at most ``bound``, by the edges' own
-    float expression.  Edge weights only grow with the target, so every
-    skipped edge weighs more than ``bound``, hence more than the optimum.
-    Skipping only raises values, and the optimal path keeps all its edges,
-    so the final minimum over exits is the dense DP's float bit for bit.
-    Returns the values and the number of edge weights evaluated.
-    """
-    n = cum.size
-    b = entry.copy()
-    cells = 0
-    if rounds <= 0 or n == 1:
-        return b, cells
-    block = _DP_BLOCK
-    corner_mask = np.tri(min(block, n), min(block, n), 0, dtype=bool)
-    for _ in range(rounds):
-        prev = b
-        b = prev.copy()
-        for a in range(0, n, block):
-            e = min(a + block, n)
-            width = e - a
-            target_left = cum_left[a:e]
-            lo = a
-            if a:
-                # The block minimum, not cum_left[a]: the prefix sums can
-                # step down slightly where _compensated_cumsum starts a block.
-                kept = (target_left.min() - cum[:a]) * scale <= bound
-                first = int(kept.argmax())
-                if kept[first]:
-                    lo = first
-            if lo < a:
-                w = (target_left[None, :] - cum[lo:a, None]) * scale
-                np.maximum(w, prev[lo:a, None], out=w)
-                best = w.min(axis=0)
-            else:
-                best = np.full(width, np.inf)
-            w = (target_left[None, :] - cum[a:e, None]) * scale
-            np.maximum(w, prev[a:e, None], out=w)
-            w[corner_mask[:width, :width]] = np.inf
-            np.minimum(best, w.min(axis=0), out=best)
-            np.minimum(b[a:e], best, out=b[a:e])
-            cells += (e - lo) * width
-        if n > block:
-            bound = min(bound, float(np.min(np.maximum(b, tail))))
-    return b, cells
-
-
-def _quantile_support(view: CumulativeView, m: int, pinned_first: bool) -> np.ndarray:
+def _quantile_support(view: CumulativeView, m: int, *, one_sided: bool) -> np.ndarray:
     """A cheap feasible support of at most ``m`` points: the first points
     reaching the mass quantiles ``(i + 0.5) / k``, with k = m, or index 0
-    plus m - 1 quantiles when the first point is pinned."""
-    k = m - 1 if pinned_first else m
+    plus m - 1 quantiles in one-sided mode, whose first point is pinned."""
+    k = m - 1 if one_sided else m
     q = (np.arange(k) + 0.5) / k * view.total
     idx = np.searchsorted(view.cum, q)  # q <= total == cum[-1], so idx < n
-    if pinned_first:
+    if one_sided:
         idx = np.concatenate(([0], idx))
     return np.unique(idx)
 
 
-def _bottleneck_epsilon(
-    view: CumulativeView, m: int, *, halve: bool, pinned_first: bool
-) -> tuple[float, int]:
+def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tuple[float, int]:
     """Optimal bottleneck value over supports of size at most ``m``, and the
     number of edge weights the DP evaluated to find it.
 
-    ``halve`` selects interior-segment halving (two-sided reduction) or full
-    interior masses (one-sided).  With ``pinned_first`` the first support
-    point is forced to be the smallest source point and only entry-free
-    paths from it are considered.  When the DP has more than one column
-    block, the quantile support's maximum segment weight seeds its bound.
+    Two-sided mode halves interior segments and enters at any point with
+    the mass before it; one-sided mode (``one_sided``) counts interior
+    masses in full and pins the first support point to the smallest source
+    point.  Each of the m - 1 layers allows one more edge ("at most k"
+    semantics, so values only improve).  Edges are evaluated on demand in
+    column blocks, so scratch memory stays at O(n * block).
+
+    With more than one column block, the quantile support's maximum segment
+    weight is an upper bound on the optimum, fixed for the call.  Block
+    ``[a, e)`` evaluates only the rows from the first one whose edge into
+    ``a`` weighs at most the bound, by the edges' own float expression.
+    Edge weights grow with the target and shrink with the source, so every
+    skipped edge is heavier than the optimum; skipping only raises values
+    and the optimal path keeps all its edges, so the result is the dense
+    DP's float bit for bit.
     """
-    n = view.cum.size
-    scale = 0.5 if halve else 1.0
-    if pinned_first:
-        entry = np.full(n, np.inf)
-        entry[0] = 0.0
+    cum, cum_left = view.cum, view.cum_left
+    n = cum.size
+    scale = 1.0 if one_sided else 0.5
+    if one_sided:
+        b = np.full(n, np.inf)
+        b[0] = 0.0
     else:
-        entry = view.cum_left.astype(np.float64, copy=True)
-    tail = view.total - view.cum
+        b = cum_left
     bound = np.inf
     if n > _DP_BLOCK and m > 1:
-        support = _quantile_support(view, m, pinned_first)
+        support = _quantile_support(view, m, one_sided=one_sided)
         bound = float(np.max(_segment_weights(view, support, scale)))
-    b, cells = _bottleneck_layers(entry, view.cum, view.cum_left, m - 1, scale, tail, bound)
-    return float(np.min(np.maximum(b, tail))), cells
+    # The prefix sums are non-decreasing, so the kept rows before a block
+    # are a suffix of them and their count locates the first one.
+    blocks = []
+    for a in range(0, n, _DP_BLOCK):
+        kept = np.count_nonzero((cum_left[a] - cum[:a]) * scale <= bound)
+        blocks.append((a, min(a + _DP_BLOCK, n), a - kept))
+    # A support narrower than a block reads its own contiguous copy, which
+    # is faster than a strided view of the full floor.
+    width = min(_DP_BLOCK, n)
+    corner_floor = np.ascontiguousarray(_CORNER_FLOOR[:width, :width])
+    for _ in range(m - 1):
+        prev = b
+        b = prev.copy()
+        for a, e, lo in blocks:
+            target_left = cum_left[a:e]
+            w = (target_left - cum[lo:a, None]) * scale
+            np.maximum(w, prev[lo:a, None], out=w)
+            best = w.min(axis=0, initial=np.inf)
+            w = (target_left - cum[a:e, None]) * scale
+            np.maximum(w, prev[a:e, None], out=w)
+            np.maximum(w, corner_floor[: e - a, : e - a], out=w)
+            np.minimum(best, w.min(axis=0), out=best)
+            np.minimum(b[a:e], best, out=b[a:e])
+    cells = (m - 1) * sum((e - lo) * (e - a) for a, e, lo in blocks)
+    return float(np.min(np.maximum(b, view.total - cum))), cells
 
 
-def _lex_min_support(
-    view: CumulativeView, m: int, eps: float, *, halve: bool, pinned_first: bool
-) -> np.ndarray:
+def _lex_min_support(view: CumulativeView, m: int, eps: float, *, one_sided: bool) -> np.ndarray:
     """Lexicographically smallest support set achieving bottleneck <= eps.
 
     Every start point's farthest feasible jump comes from one vectorised
@@ -256,7 +225,7 @@ def _lex_min_support(
     """
     cum, cum_left = view.cum, view.cum_left
     n = cum.size
-    scale = 0.5 if halve else 1.0
+    scale = 1.0 if one_sided else 0.5
     start = np.arange(n)
     far = np.searchsorted(cum_left, cum + eps / scale, side="right") - 1
     np.clip(far, start, n - 1, out=far)
@@ -284,8 +253,8 @@ def _lex_min_support(
         elif g > j and hops[g] < unreachable:
             hops[j] = 1 + hops[g]
 
-    chosen: list[int] = [0] if pinned_first else []
-    cur = 0 if pinned_first else -1
+    chosen: list[int] = [0] if one_sided else []
+    cur = 0 if one_sided else -1
     while True:
         if chosen and exits[chosen[-1]]:
             break
@@ -320,10 +289,10 @@ def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
     if m >= n:
         return SupportSelection(np.arange(n, dtype=np.int64), 0.0)
     view = x.cdf
-    eps, _ = _bottleneck_epsilon(view, m, halve=True, pinned_first=False)
+    eps, _ = _bottleneck_epsilon(view, m, one_sided=False)
     # The extraction keeps every segment weight <= eps, and no support of
     # size m does better, so eps is the selection's maximum segment weight.
-    return SupportSelection(_lex_min_support(view, m, eps, halve=True, pinned_first=False), eps)
+    return SupportSelection(_lex_min_support(view, m, eps, one_sided=False), eps)
 
 
 def reduce(x: DiscreteDistribution, m: int) -> ReductionResult:

@@ -162,7 +162,7 @@ def test_criterion_8_complexity_smoke():
     # The DP counts the edge weights it evaluates, so the scaling is
     # checked on exact work counts rather than on a shared host's clock.
     def cells(x, m):
-        return _bottleneck_epsilon(x.cdf, m, halve=True, pinned_first=False)[1]
+        return _bottleneck_epsilon(x.cdf, m, one_sided=False)[1]
 
     def dense_cells(n, m):
         blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]

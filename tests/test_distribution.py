@@ -112,6 +112,17 @@ class TestCumulativeView:
         assert abs(view.total - math.fsum(probs.tolist())) <= 1e-12
         assert np.all(np.diff(view.cum) > 0)
 
+    def test_prefix_sums_never_step_down_at_a_block_start(self):
+        # Spiky masses on which the per-block sums used to end an ULP above
+        # the next block's fsum offset, so cum dropped at index 4096.
+        rng = np.random.default_rng(3)
+        n = int(rng.integers(4100, 20000))
+        probs = rng.random(n) ** 12 + 1e-12
+        probs[rng.integers(0, n, 3)] += 1.0
+        d = DiscreteDistribution(np.arange(n, dtype=float), probs / probs.sum())
+        assert np.all(np.diff(d.cdf.cum) >= 0)
+        assert np.all(np.diff(d.cdf.at(d.values)) >= 0)
+
     def test_cached_on_distribution(self):
         d = make_distribution([(1, 0.2), (2, 0.3), (5, 0.5)])
         assert d.cdf is d.cdf

@@ -11,7 +11,7 @@ from kolmoreduce import (
     read_distribution_file,
     write_distribution_file,
 )
-from kolmoreduce.cli import bench_instance, main
+from kolmoreduce.cli import bench_errors, bench_instance, main
 from kolmoreduce.io import _load_csv_table, _parse_csv_rows, _wrap_validation
 
 from conftest import random_distribution
@@ -289,6 +289,22 @@ class TestCmdBench:
             assert method in ("klm", "opttrim", "trim")
             assert 0.0 <= float(mean) <= 1.0
             assert (int(m), int(instances), int(n), int(seed)) == (int(m), 3, 12, 5)
+
+    def test_rows_aggregate_bench_errors(self, capsys):
+        # A repeated budget gets one row per mention, from the shared entry.
+        assert main(["bench", "--n", "12", "--instances", "3", "--m", "4,2,4",
+                     "--methods", "trim,klm", "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        errors = bench_errors(12, 3, [4, 2, 4], ["trim", "klm"], 7)
+        expected = [(meth, m) for meth in ("trim", "klm") for m in (4, 2, 4)]
+        assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+            (meth, str(m)) for meth, m in expected
+        ]
+        for line, key in zip(lines[1:], expected):
+            _, _, mean, std, instances, n, seed = line.split(",")
+            assert float(mean) == float(np.mean(errors[key]))
+            assert float(std) == float(np.std(errors[key], ddof=1))
+            assert (instances, n, seed) == ("3", "12", "7")
 
     def test_instance_generator_is_stable(self):
         a = bench_instance(10, seed=3, index=4)

@@ -281,11 +281,11 @@ def test_lex_min_support_matches_slow_reference(kind):
     cases += [(int(rng.integers(1000, 4001)), int(rng.integers(1, 9))) for _ in range(6)]
     for n, m in cases:
         view = DiscreteDistribution(np.arange(n, dtype=np.float64), _masses(rng, kind, n)).cdf
-        for halve, pinned_first in ((True, False), (False, True)):
-            eps, _ = _bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
-            fast = _lex_min_support(view, m, eps, halve=halve, pinned_first=pinned_first)
-            slow = _slow_lex_min_support(view, m, eps, halve=halve, pinned_first=pinned_first)
-            assert fast.tolist() == slow.tolist(), (kind, n, m, halve)
+        for one_sided in (False, True):
+            eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
+            fast = _lex_min_support(view, m, eps, one_sided=one_sided)
+            slow = _slow_lex_min_support(view, m, eps, halve=not one_sided, pinned_first=one_sided)
+            assert fast.tolist() == slow.tolist(), (kind, n, m, one_sided)
 
 
 def _dense_bottleneck_layers(entry, cum, cum_left, rounds, scale):
@@ -330,13 +330,12 @@ def _dense_bottleneck_epsilon(view, m, *, halve, pinned_first):
     return float(np.min(np.maximum(b, view.total - view.cum)))
 
 
-def _check_against_dense(view, m, modes=((True, False), (False, True))):
+def _check_against_dense(view, m, modes=(False, True)):
     n = view.cum.size
-    for halve, pinned_first in modes:
-        eps, cells = _bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
-        assert eps == _dense_bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first), (
-            n, m, halve,
-        )
+    for one_sided in modes:
+        eps, cells = _bottleneck_epsilon(view, m, one_sided=one_sided)
+        dense = _dense_bottleneck_epsilon(view, m, halve=not one_sided, pinned_first=one_sided)
+        assert eps == dense, (n, m, one_sided)
         blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]
         assert 0 < cells <= (m - 1) * sum((e - a) * e for a, e in blocks)
 
@@ -353,24 +352,24 @@ def test_bottleneck_epsilon_matches_dense_reference(kind):
 
 
 @pytest.mark.parametrize(
-    "n, m, halve",
+    "n, m, two_sided",
     [(768, 25, True), (1024, 16, True), (2048, 8, True), (4000, 5, True),
      (768, 66, False), (1025, 44, False), (2047, 2, False), (3072, 2, False)],
 )
-def test_bottleneck_epsilon_matches_dense_reference_at_tight_bound(n, m, halve):
+def test_bottleneck_epsilon_matches_dense_reference_at_tight_bound(n, m, two_sided):
     # Equal masses where the quantile support is already optimal: the DP's
     # bound starts at the optimum, so rows whose edge weighs exactly the
     # bound are needed and the row rule's "<=" decides.
     view = DiscreteDistribution(np.arange(n, dtype=np.float64), np.full(n, 1.0 / n)).cdf
-    pinned_first = not halve
-    support = _quantile_support(view, m, pinned_first)
-    bound = float(np.max(_segment_weights(view, support, 0.5 if halve else 1.0)))
-    assert bound == _dense_bottleneck_epsilon(view, m, halve=halve, pinned_first=pinned_first)
-    _check_against_dense(view, m, [(halve, pinned_first)])
+    one_sided = not two_sided
+    support = _quantile_support(view, m, one_sided=one_sided)
+    bound = float(np.max(_segment_weights(view, support, 1.0 if one_sided else 0.5)))
+    assert bound == _dense_bottleneck_epsilon(view, m, halve=not one_sided, pinned_first=one_sided)
+    _check_against_dense(view, m, [one_sided])
 
 
 @pytest.mark.parametrize(
-    "weights, halve",
+    "weights, two_sided",
     [
         # Entry 100, a heavy point at 100, edge 300 / 2 into the block start
         # 256 past a heavy point there, tail 100: only {100, 256} reaches 150.
@@ -380,12 +379,12 @@ def test_bottleneck_epsilon_matches_dense_reference_at_tight_bound(n, m, halve):
         ([7] * 256 + [1000] + [6] * 255, False),
     ],
 )
-def test_bottleneck_epsilon_keeps_the_row_whose_edge_equals_the_bound(weights, halve):
+def test_bottleneck_epsilon_keeps_the_row_whose_edge_equals_the_bound(weights, two_sided):
     # The optimal path's only edge into the second column block weighs
     # exactly the bound, so the row rule must keep a row at equality.
     p = np.asarray(weights, dtype=np.float64)
     view = DiscreteDistribution(np.arange(p.size, dtype=np.float64), p / p.sum()).cdf
-    pinned_first = not halve
-    support = _quantile_support(view, 2, pinned_first)
-    assert support.tolist() == ([100, 256] if halve else [0, 256])
-    _check_against_dense(view, 2, [(halve, pinned_first)])
+    one_sided = not two_sided
+    support = _quantile_support(view, 2, one_sided=one_sided)
+    assert support.tolist() == ([0, 256] if one_sided else [100, 256])
+    _check_against_dense(view, 2, [one_sided])
