@@ -12,7 +12,6 @@ plan taking the max of three three-task chains.
 import numpy as np
 
 from kolmoreduce import (
-    CumulativeView,
     eval_exact,
     eval_reduced,
     fixture_path,

@@ -23,29 +23,33 @@ MASS_TOL = 1e-9
 DOMINANCE_SLACK = 1e-12
 
 
-def _compensated_cumsum(probs: np.ndarray, block: int = 4096) -> np.ndarray:
+# Points per block of the prefix sum.
+_CUMSUM_BLOCK = 4096
+
+
+def _compensated_cumsum(probs: np.ndarray) -> np.ndarray:
     """The ``n + 1`` prefix sums (0.0 first) of ``probs``, with error tracking.
 
     Plain ``np.cumsum`` drifts by O(n*eps), too loose for supports around
-    1e6 points.  Summing per-block totals with ``math.fsum`` keeps every
-    prefix within a few ULP of the correctly rounded value.  A block's
-    naive sums can end an ULP above the next block's exact offset, so each
-    block is clamped from below by the sum before it, which keeps the sums
-    non-decreasing.
+    1e6 points.  The sums run in blocks of ``_CUMSUM_BLOCK`` points, and
+    each block after the first is offset by the ``math.fsum`` of the block
+    totals before it, which keeps every prefix within a few ULP of the
+    correctly rounded value.  Only blocks that a later block needs as an
+    offset are summed exactly, so a support of at most one block pays no
+    ``fsum`` at all.  A block's naive sums can end an ULP above the next
+    block's exact offset, so each block is clamped from below by the sum
+    before it, which keeps the sums non-decreasing.
     """
     prefix = np.zeros(probs.size + 1)
     out = prefix[1:]
+    np.cumsum(probs[:_CUMSUM_BLOCK], out=out[:_CUMSUM_BLOCK])
     block_totals: list[float] = []
-    offset = 0.0
-    for start in range(0, probs.size, block):
-        seg = probs[start:start + block]
-        dst = out[start:start + seg.size]
-        np.cumsum(seg, out=dst)
-        if offset:
-            dst += offset
-            np.maximum(dst, out[start - 1], out=dst)
-        block_totals.append(math.fsum(seg))
-        offset = math.fsum(block_totals)
+    for start in range(_CUMSUM_BLOCK, probs.size, _CUMSUM_BLOCK):
+        block_totals.append(math.fsum(probs[start - _CUMSUM_BLOCK:start].tolist()))
+        dst = out[start:start + _CUMSUM_BLOCK]
+        np.cumsum(probs[start:start + _CUMSUM_BLOCK], out=dst)
+        dst += math.fsum(block_totals)
+        np.maximum(dst, out[start - 1], out=dst)
     return prefix
 
 
@@ -131,11 +135,10 @@ class CumulativeView:
     Obtain it as ``dist.cdf``, which builds it once per distribution.
     """
 
-    __slots__ = ("values", "probs", "cum", "cum_left", "total")
+    __slots__ = ("values", "cum", "cum_left", "total")
 
     def __init__(self, dist: DiscreteDistribution) -> None:
         self.values = dist.values
-        self.probs = dist.probs
         prefix = _compensated_cumsum(dist.probs)
         prefix.flags.writeable = False
         self.cum = prefix[1:]
@@ -182,7 +185,7 @@ def _from_columns(values, probs, *, renormalize: bool) -> DiscreteDistribution:
         raise EmptyDistributionError("no (value, probability) pairs given")
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError("support values must be finite")
-    if np.any(np.isnan(probs)) or np.any(probs < 0) or not np.all(np.isfinite(probs)):
+    if np.any(probs < 0) or not np.all(np.isfinite(probs)):
         raise BadMassError("probabilities must be finite and non-negative")
 
     keep = probs > 0

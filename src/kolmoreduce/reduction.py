@@ -298,11 +298,10 @@ def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
 def reduce(x: DiscreteDistribution, m: int) -> ReductionResult:
     """Optimal m-approximation of ``x``: among all random variables with at
     most ``m`` support points, the one closest to ``x`` in Kolmogorov
-    distance (with the documented lexicographic tie-break)."""
-    m = _check_m(m)
-    if m >= x.n:
-        selection = SupportSelection(np.arange(x.n, dtype=np.int64), 0.0)
-        return ReductionResult(x, selection, 0.0)
+    distance (with the documented lexicographic tie-break).  When the
+    budget keeps every point, the result is ``x`` itself at distance 0."""
     selection = min_bottleneck_support(x, m)
+    if selection.indices.size == x.n:
+        return ReductionResult(x, selection, selection.epsilon)
     approx = construct_on_support(x, selection.indices)
     return ReductionResult(approx, selection, selection.epsilon)

@@ -1,3 +1,5 @@
+"""Random distributions shared by the test modules."""
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -13,6 +15,22 @@ def random_distribution(rng, n=None, max_n=12, values=None):
         values = np.arange(n, dtype=np.float64)
     probs = rng.random(n)
     return DiscreteDistribution(values, probs / probs.sum())
+
+
+def masses(rng, kind, n):
+    """``n`` normalized masses of one of four kinds: "uniform", "pareto",
+    "spiky" (three points carry nearly all the mass) or "tied" (integer
+    weights, so many sums and edge weights tie exactly)."""
+    if kind == "uniform":
+        p = rng.random(n)
+    elif kind == "pareto":
+        p = rng.pareto(1.1, n) + 1e-6
+    elif kind == "spiky":
+        p = rng.random(n) ** 12 + 1e-12
+        p[rng.integers(0, n, 3)] += 1.0
+    else:  # tied integer masses: many edge weights equal epsilon exactly
+        p = rng.integers(1, 4, n).astype(np.float64)
+    return p / p.sum()
 
 
 @st.composite

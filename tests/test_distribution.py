@@ -19,9 +19,9 @@ from kolmoreduce import (
     project_to_support,
     sample_empirical,
 )
-from kolmoreduce.distribution import MASS_TOL
+from kolmoreduce.distribution import MASS_TOL, _compensated_cumsum
 
-from conftest import distributions, random_distribution
+from generators import distributions, masses, random_distribution
 
 
 def dist(*pairs):
@@ -65,6 +65,14 @@ class TestMakeDistribution:
             make_distribution([(1, 0.5), (2, 0.4)])
         with pytest.raises(BadMassError):
             make_distribution([(1, -0.25), (2, 1.25)])
+        # A NaN or negative mass beside a full unit of mass must not be
+        # dropped as zero.
+        with pytest.raises(BadMassError, match="finite"):
+            make_distribution([(1, 0.5), (2, 0.5), (3, float("nan"))])
+        with pytest.raises(BadMassError, match="non-negative"):
+            make_distribution([(1, 1.0), (2, -0.25)])
+        with pytest.raises(BadMassError, match="finite"):
+            make_distribution([(1, 1.0), (2, float("inf"))], renormalize=True)
 
     def test_renormalize(self):
         d = make_distribution([(1, 2.0), (2, 6.0)], renormalize=True)
@@ -90,6 +98,25 @@ class TestMakeDistribution:
     def test_stored_arrays_immutable(self):
         with pytest.raises(ValueError):
             UNIFORM4.values[0] = 99.0
+
+
+def _slow_compensated_cumsum(probs, block=4096):
+    """Reference prefix sum: every block's ``fsum`` over numpy scalars,
+    the last one included, and an offset branch inside the loop."""
+    prefix = np.zeros(probs.size + 1)
+    out = prefix[1:]
+    block_totals = []
+    offset = 0.0
+    for start in range(0, probs.size, block):
+        seg = probs[start:start + block]
+        dst = out[start:start + seg.size]
+        np.cumsum(seg, out=dst)
+        if offset:
+            dst += offset
+            np.maximum(dst, out[start - 1], out=dst)
+        block_totals.append(math.fsum(seg))
+        offset = math.fsum(block_totals)
+    return prefix
 
 
 class TestCumulativeView:
@@ -122,6 +149,22 @@ class TestCumulativeView:
         d = DiscreteDistribution(np.arange(n, dtype=float), probs / probs.sum())
         assert np.all(np.diff(d.cdf.cum) >= 0)
         assert np.all(np.diff(d.cdf.at(d.values)) >= 0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "pareto", "spiky", "tied"])
+    def test_prefix_sums_match_block_loop_reference(self, kind):
+        rng = np.random.default_rng(20 + ["uniform", "pareto", "spiky", "tied"].index(kind))
+        for n in (1, 2, 4095, 4096, 4097, 8192, 8193, 100_003):
+            probs = masses(rng, kind, n)
+            assert _compensated_cumsum(probs).tobytes() == _slow_compensated_cumsum(probs).tobytes(), n
+
+    def test_prefix_sums_match_reference_on_a_spiky_draw(self):
+        # The draw of the step-down test above.
+        rng = np.random.default_rng(3)
+        n = int(rng.integers(4100, 20000))
+        probs = rng.random(n) ** 12 + 1e-12
+        probs[rng.integers(0, n, 3)] += 1.0
+        probs /= probs.sum()
+        assert _compensated_cumsum(probs).tobytes() == _slow_compensated_cumsum(probs).tobytes()
 
     def test_cached_on_distribution(self):
         d = make_distribution([(1, 0.2), (2, 0.3), (5, 0.5)])

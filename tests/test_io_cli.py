@@ -14,7 +14,7 @@ from kolmoreduce import (
 from kolmoreduce.cli import bench_errors, bench_instance, main
 from kolmoreduce.io import _load_csv_table, _parse_csv_rows, _wrap_validation
 
-from conftest import random_distribution
+from generators import random_distribution
 
 UNIFORM4 = make_distribution([(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)])
 
@@ -291,20 +291,24 @@ class TestCmdBench:
             assert (int(m), int(instances), int(n), int(seed)) == (int(m), 3, 12, 5)
 
     def test_rows_aggregate_bench_errors(self, capsys):
-        # A repeated budget gets one row per mention, from the shared entry.
+        # A repeated budget gets one row, in first-mention order.
         assert main(["bench", "--n", "12", "--instances", "3", "--m", "4,2,4",
                      "--methods", "trim,klm", "--seed", "7"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         errors = bench_errors(12, 3, [4, 2, 4], ["trim", "klm"], 7)
-        expected = [(meth, m) for meth in ("trim", "klm") for m in (4, 2, 4)]
+        expected = [("trim", 4), ("trim", 2), ("klm", 4), ("klm", 2)]
+        assert list(errors) == expected
         assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
             (meth, str(m)) for meth, m in expected
         ]
         for line, key in zip(lines[1:], expected):
+            assert errors[key].size == 3
             _, _, mean, std, instances, n, seed = line.split(",")
             assert float(mean) == float(np.mean(errors[key]))
             assert float(std) == float(np.std(errors[key], ddof=1))
             assert (instances, n, seed) == ("3", "12", "7")
+        once = bench_errors(12, 3, [4], ["trim"], 7)[("trim", 4)]
+        assert errors[("trim", 4)].tobytes() == once.tobytes()
 
     def test_instance_generator_is_stable(self):
         a = bench_instance(10, seed=3, index=4)

@@ -14,7 +14,7 @@ from kolmoreduce import (
 )
 from kolmoreduce.oracle import BRUTE_FORCE_LIMIT
 
-from conftest import distributions, random_distribution
+from generators import distributions, random_distribution
 
 UNIFORM4 = make_distribution([(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)])
 

@@ -25,7 +25,7 @@ from kolmoreduce import (
 )
 from kolmoreduce.distribution import MASS_TOL
 
-from conftest import random_distribution
+from generators import random_distribution
 
 COIN = make_distribution([(0, 0.5), (1, 0.5)])
 UNIFORM10 = make_distribution([(v, 0.1) for v in range(10)])

@@ -24,7 +24,7 @@ from kolmoreduce.reduction import (
     _segment_weights,
 )
 
-from conftest import distributions, random_distribution
+from generators import distributions, masses, random_distribution
 
 UNIFORM3 = make_distribution([(1, 1 / 3), (2, 1 / 3), (3, 1 / 3)])
 UNIFORM4 = make_distribution([(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)])
@@ -261,26 +261,13 @@ def _slow_lex_min_support(view, m, eps, *, halve, pinned_first):
     return np.asarray(chosen, dtype=np.int64)
 
 
-def _masses(rng, kind, n):
-    if kind == "uniform":
-        p = rng.random(n)
-    elif kind == "pareto":
-        p = rng.pareto(1.1, n) + 1e-6
-    elif kind == "spiky":
-        p = rng.random(n) ** 12 + 1e-12
-        p[rng.integers(0, n, 3)] += 1.0
-    else:  # tied integer masses: many edge weights equal epsilon exactly
-        p = rng.integers(1, 4, n).astype(np.float64)
-    return p / p.sum()
-
-
 @pytest.mark.parametrize("kind", ["uniform", "pareto", "spiky", "tied"])
 def test_lex_min_support_matches_slow_reference(kind):
     rng = np.random.default_rng(["uniform", "pareto", "spiky", "tied"].index(kind))
     cases = [(int(rng.integers(2, 300)), int(rng.integers(1, 71))) for _ in range(90)]
     cases += [(int(rng.integers(1000, 4001)), int(rng.integers(1, 9))) for _ in range(6)]
     for n, m in cases:
-        view = DiscreteDistribution(np.arange(n, dtype=np.float64), _masses(rng, kind, n)).cdf
+        view = DiscreteDistribution(np.arange(n, dtype=np.float64), masses(rng, kind, n)).cdf
         for one_sided in (False, True):
             eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
             fast = _lex_min_support(view, m, eps, one_sided=one_sided)
@@ -347,7 +334,7 @@ def test_bottleneck_epsilon_matches_dense_reference(kind):
     cases += [(int(rng.integers(1000, 4001)), int(rng.integers(2, 7))) for _ in range(2)]
     for n, m in cases:
         _check_against_dense(
-            DiscreteDistribution(np.arange(n, dtype=np.float64), _masses(rng, kind, n)).cdf, m
+            DiscreteDistribution(np.arange(n, dtype=np.float64), masses(rng, kind, n)).cdf, m
         )
 
 
