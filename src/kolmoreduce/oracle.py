@@ -1,8 +1,9 @@
 """Slow reference implementations used to validate the fast path.
 
 Everything here is written directly from the definitions, shares no
-algorithmic code with the optimized modules (only the distribution value
-type), and is deliberately exhaustive rather than clever.
+algorithmic code with the optimized modules (only the value and result
+types and the budget check), and is deliberately exhaustive rather than
+clever.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 import numpy as np
 
 from .distribution import DiscreteDistribution
-from .errors import BadMError, TooLargeError
-from .reduction import ReductionResult, SupportSelection
+from .errors import TooLargeError
+from .reduction import ReductionResult, SupportSelection, _check_m
 
 # Exhaustive search over subsets explodes combinatorially; refuse beyond this.
 BRUTE_FORCE_LIMIT = 22
@@ -69,14 +70,13 @@ def brute_force_reduce(x: DiscreteDistribution, m: int) -> ReductionResult:
     Ties between equally good subsets resolve to the lexicographically
     smallest index tuple, the same rule the fast path documents.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise BadMError(f"support budget must be an integer >= 1, got {m!r}")
+    m = _check_m(m)
     n = x.n
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"support size {n} exceeds the exhaustive guard {BRUTE_FORCE_LIMIT}")
     probs = x.probs.tolist()
     best: tuple[float, tuple[int, ...]] | None = None
-    for size in range(1, min(int(m), n) + 1):
+    for size in range(1, min(m, n) + 1):
         for combo in itertools.combinations(range(n), size):
             candidate = (_epsilon_literal(probs, combo), combo)
             if best is None or candidate < best:

@@ -159,8 +159,11 @@ def test_criterion_8_complexity_smoke():
     x1000 = _generic(rng, 1000)
     x2000 = _generic(rng, 2000)
 
-    # The DP counts the edge weights it evaluates, so the scaling is
-    # checked on exact work counts rather than on a shared host's clock.
+    # The DP counts the edge weights it evaluates, so its work is checked on
+    # exact counts rather than on a shared host's clock.  Windowed by the
+    # horizons of its upper bound, the count follows how tight that bound
+    # is rather than n^2 m, so each case is held to a small share of the
+    # dense DP, which neither the dense DP nor row bounds alone can meet.
     def cells(x, m):
         return _bottleneck_epsilon(x.cdf, m, one_sided=False)[1]
 
@@ -168,15 +171,11 @@ def test_criterion_8_complexity_smoke():
         blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]
         return (m - 1) * sum((e - a) * e for a, e in blocks)
 
-    c_m20, c_m40, c_n1000 = cells(x2000, 20), cells(x2000, 40), cells(x1000, 20)
-    m_ratio = c_m40 / c_m20
-    n_ratio = c_m20 / c_n1000
-    dense_ratio = c_m40 / dense_cells(2000, 40)
-    assert m_ratio <= 2.5, m_ratio
-    assert n_ratio <= 5.0, n_ratio
-    assert dense_ratio <= 0.35, dense_ratio
-    print(
-        f"PASS criterion 8: DP edge weights m40/m20 = {m_ratio:.2f} (at most linear in m), "
-        f"n2000/n1000 = {n_ratio:.2f} (at most quadratic in n), "
-        f"{dense_ratio:.2f} of the dense DP at n=2000, m=40"
-    )
+    shares = {
+        (x.n, m): cells(x, m) / dense_cells(x.n, m)
+        for x, m in [(x2000, 20), (x2000, 40), (x1000, 20)]
+    }
+    for case, share in shares.items():
+        assert share <= 0.01, (case, share)
+    detail = ", ".join(f"n={n} m={m}: {share:.2e}" for (n, m), share in shares.items())
+    print(f"PASS criterion 8: DP edge weights as a share of the dense DP's ({detail})")

@@ -19,6 +19,9 @@ from kolmoreduce import (
 from kolmoreduce.reduction import (
     _DP_BLOCK,
     _bottleneck_epsilon,
+    _first_source,
+    _horizons,
+    _last_target,
     _lex_min_support,
     _quantile_support,
     _segment_weights,
@@ -261,18 +264,220 @@ def _slow_lex_min_support(view, m, eps, *, halve, pinned_first):
     return np.asarray(chosen, dtype=np.int64)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "pareto", "spiky", "tied"])
+def _vectorised_lex_min_support(view, m, eps, *, one_sided):
+    """Second reference extraction: every point's farthest feasible jump from
+    one ``searchsorted`` with whole-array +1/-1 fix-ups, backward hop counts
+    over lists, and the forward pick of the smallest point within budget."""
+    cum, cum_left = view.cum, view.cum_left
+    n = cum.size
+    scale = 1.0 if one_sided else 0.5
+    start = np.arange(n)
+    far = np.searchsorted(cum_left, cum + eps / scale, side="right") - 1
+    np.clip(far, start, n - 1, out=far)
+    moving = start
+    while True:
+        moving = moving[far[moving] + 1 < n]
+        moving = moving[(cum_left[far[moving] + 1] - cum[moving]) * scale <= eps]
+        if not moving.size:
+            break
+        far[moving] += 1
+    moving = start
+    while True:
+        moving = moving[far[moving] > moving]
+        moving = moving[(cum_left[far[moving]] - cum[moving]) * scale > eps]
+        if not moving.size:
+            break
+        far[moving] -= 1
+    exits = ((view.total - cum) <= eps).tolist()
+    unreachable = n + 2
+    hops = [unreachable] * n
+    for j, g in zip(range(n - 1, -1, -1), far[::-1].tolist()):
+        if exits[j]:
+            hops[j] = 1
+        elif g > j and hops[g] < unreachable:
+            hops[j] = 1 + hops[g]
+    chosen = [0] if one_sided else []
+    cur = 0 if one_sided else -1
+    while not (chosen and exits[chosen[-1]]):
+        rem = m - len(chosen)
+        assert rem > 0
+        j = cur + 1
+        while j < n and hops[j] > rem:
+            j += 1
+        assert j < n
+        edge = float(cum_left[j]) if cur < 0 else (cum_left[j] - cum[cur]) * scale
+        assert edge <= eps
+        chosen.append(j)
+        cur = j
+    return np.asarray(chosen, dtype=np.int64)
+
+
+KINDS = ["uniform", "pareto", "spiky", "tied"]
+
+
+def _instance(rng, kind, n):
+    return DiscreteDistribution(np.arange(n, dtype=np.float64), masses(rng, kind, n))
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_lex_min_support_matches_slow_reference(kind):
-    rng = np.random.default_rng(["uniform", "pareto", "spiky", "tied"].index(kind))
+    rng = np.random.default_rng(KINDS.index(kind))
     cases = [(int(rng.integers(2, 300)), int(rng.integers(1, 71))) for _ in range(90)]
     cases += [(int(rng.integers(1000, 4001)), int(rng.integers(1, 9))) for _ in range(6)]
     for n, m in cases:
-        view = DiscreteDistribution(np.arange(n, dtype=np.float64), masses(rng, kind, n)).cdf
+        view = _instance(rng, kind, n).cdf
         for one_sided in (False, True):
             eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
             fast = _lex_min_support(view, m, eps, one_sided=one_sided)
             slow = _slow_lex_min_support(view, m, eps, halve=not one_sided, pinned_first=one_sided)
             assert fast.tolist() == slow.tolist(), (kind, n, m, one_sided)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lex_min_support_matches_vectorised_reference_at_large_n(kind):
+    # At the optimum where the windowed DP finds it quickly, and at the
+    # quantile support's weight, a feasible epsilon no search produced.
+    rng = np.random.default_rng(20 + KINDS.index(kind))
+    for n, m in [(5000, 64), (20000, 16), (100000, 64)]:
+        view = _instance(rng, kind, n).cdf
+        for one_sided in (False, True):
+            scale = 1.0 if one_sided else 0.5
+            support = _quantile_support(view, m, one_sided=one_sided)
+            thresholds = [float(np.max(_segment_weights(view, support, scale)))]
+            if n <= 20000 and not one_sided:
+                thresholds.append(_bottleneck_epsilon(view, m, one_sided=one_sided)[0])
+            for eps in thresholds:
+                fast = _lex_min_support(view, m, eps, one_sided=one_sided)
+                ref = _vectorised_lex_min_support(view, m, eps, one_sided=one_sided)
+                assert fast.tolist() == ref.tolist(), (kind, n, m, one_sided, eps)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lex_min_support_rejects_epsilon_below_the_optimum(kind):
+    # One float below the optimum no support of m points fits, so an edge
+    # check fails; a pinned single point fails the budget check instead.
+    rng = np.random.default_rng(30 + KINDS.index(kind))
+    for case in range(40):
+        n = int(rng.integers(3, 600))
+        m = 1 if case % 10 == 0 else int(rng.integers(2, min(n, 40)))
+        view = _instance(rng, kind, n).cdf
+        for one_sided in (False, True):
+            eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
+            assert eps > 0.0
+            below = np.nextafter(eps, 0.0)
+            if one_sided and m == 1:
+                message = "bottleneck extraction exhausted its hop budget"
+            else:
+                message = "bottleneck extraction hit an infeasible edge"
+            with pytest.raises(AssertionError, match=message):
+                _lex_min_support(view, m, below, one_sided=one_sided)
+
+
+def _prefix(view):
+    return view.cum_left.tolist() + [view.total]
+
+
+def _edge_weights(prefix, scale):
+    """Every entry, interior and exit weight of the support, as the program
+    writes them, for thresholds that sit exactly on an edge."""
+    n = len(prefix) - 1
+    out = set(prefix[:n])
+    out.update(prefix[n] - prefix[i + 1] for i in range(n))
+    out.update((prefix[j] - prefix[i + 1]) * scale for i in range(n) for j in range(i + 1, n))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_horizon_searches_match_linear_scans_at_exact_weights(kind):
+    # Thresholds equal to an edge weight, and one float either side of it:
+    # the "<=" decides at the weight itself, and the bisect guess on the
+    # rounded sum or difference is off by a point often enough to need the
+    # scalar steps.
+    rng = np.random.default_rng(40 + KINDS.index(kind))
+    for _ in range(6):
+        n = int(rng.integers(2, 40))
+        prefix = _prefix(_instance(rng, kind, n).cdf)
+        for scale in (0.5, 1.0):
+            weights = _edge_weights(prefix, scale)
+            picks = rng.choice(len(weights), size=min(len(weights), 25), replace=False)
+            for w in (weights[k] for k in picks):
+                for tau in (np.nextafter(w, 0.0), w, np.nextafter(w, 2.0)):
+                    for v in prefix:
+                        first = next(i for i in range(n) if (v - prefix[i + 1]) * scale <= tau)
+                        assert _first_source(prefix, v, tau, scale) == first
+                    for c in prefix[1:] + [0.0]:
+                        last = max(j for j in range(n) if (prefix[j] - c) * scale <= tau)
+                        assert _last_target(prefix, c, tau, scale) == last
+
+
+def _reach_horizons(prefix, tau, count, scale, one_sided):
+    """Reference horizons from explicit reachable sets, hop by hop."""
+    n = len(prefix) - 1
+    reach = {0} if one_sided else {j for j in range(n) if prefix[j] <= tau}
+    exits = {i for i in range(n) if prefix[n] - prefix[i + 1] <= tau}
+    back, fwd = [], []
+    for _ in range(count):
+        back.append(min(exits))
+        fwd.append(max(reach))
+        exits |= {i for i in range(n) for j in exits if i < j and (prefix[j] - prefix[i + 1]) * scale <= tau}
+        reach |= {j for j in range(n) for i in reach if i < j and (prefix[j] - prefix[i + 1]) * scale <= tau}
+    return back, fwd
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_horizons_match_reachable_sets(kind):
+    rng = np.random.default_rng(50 + KINDS.index(kind))
+    for _ in range(25):
+        n = int(rng.integers(2, 30))
+        prefix = _prefix(_instance(rng, kind, n).cdf)
+        for one_sided in (False, True):
+            scale = 1.0 if one_sided else 0.5
+            weights = _edge_weights(prefix, scale)
+            for tau in rng.choice(weights, size=min(len(weights), 6), replace=False):
+                count = int(rng.integers(1, n + 1))
+                assert _horizons(prefix, float(tau), count, scale, one_sided=one_sided) == (
+                    _reach_horizons(prefix, float(tau), count, scale, one_sided)
+                )
+
+
+def _greedy_points(view, eps, *, one_sided):
+    """Witness written from the definition: the fewest support points whose
+    every segment weighs at most ``eps``, by farthest jumps over the prefix
+    sums (one-sided: first point pinned to 0, interior masses in full)."""
+    cum, left, total = view.cum.tolist(), view.cum_left.tolist(), view.total
+    n = len(cum)
+    scale = 1.0 if one_sided else 0.5
+    cur = 0
+    if not one_sided:
+        while cur + 1 < n and left[cur + 1] <= eps:
+            cur += 1
+    points = 1
+    while total - cum[cur] > eps:
+        nxt = cur + 1
+        while nxt + 1 < n and (left[nxt + 1] - cum[cur]) * scale <= eps:
+            nxt += 1
+        cur = nxt
+        points += 1
+    return points
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_epsilon_is_optimal_by_greedy_witness(kind):
+    # At epsilon m points suffice; one float below, no m points do.
+    rng = np.random.default_rng(60 + KINDS.index(kind))
+    cases = [(int(rng.integers(2, 300)), int(rng.integers(1, 71))) for _ in range(20)]
+    cases += [(int(rng.integers(300, 5001)), int(rng.integers(2, 71))) for _ in range(6)]
+    cases += [(int(rng.integers(15000, 20001)), int(rng.integers(8, 71))) for _ in range(2)]
+    for n, m in cases:
+        view = _instance(rng, kind, n).cdf
+        for one_sided in (False, True):
+            if m >= n:
+                continue
+            eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
+            assert _greedy_points(view, eps, one_sided=one_sided) <= m, (kind, n, m, one_sided)
+            if eps > 0.0:
+                below = np.nextafter(eps, 0.0)
+                assert _greedy_points(view, below, one_sided=one_sided) > m, (kind, n, m, one_sided)
 
 
 def _dense_bottleneck_layers(entry, cum, cum_left, rounds, scale):
@@ -327,15 +532,13 @@ def _check_against_dense(view, m, modes=(False, True)):
         assert 0 < cells <= (m - 1) * sum((e - a) * e for a, e in blocks)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "pareto", "spiky", "tied"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_bottleneck_epsilon_matches_dense_reference(kind):
-    rng = np.random.default_rng(10 + ["uniform", "pareto", "spiky", "tied"].index(kind))
+    rng = np.random.default_rng(10 + KINDS.index(kind))
     cases = [(int(rng.integers(257, 1000)), int(rng.integers(2, 71))) for _ in range(6)]
-    cases += [(int(rng.integers(1000, 4001)), int(rng.integers(2, 7))) for _ in range(2)]
+    cases += [(int(rng.integers(1000, 4001)), int(rng.integers(2, 71))) for _ in range(2)]
     for n, m in cases:
-        _check_against_dense(
-            DiscreteDistribution(np.arange(n, dtype=np.float64), masses(rng, kind, n)).cdf, m
-        )
+        _check_against_dense(_instance(rng, kind, n).cdf, m)
 
 
 @pytest.mark.parametrize(
