@@ -261,7 +261,6 @@ def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tup
         b[0] = 0.0
     else:
         b = cum_left
-    bound = np.inf
     if n > _DP_BLOCK and m > 1:
         support = _quantile_support(view, m, one_sided=one_sided)
         bound = float(np.max(_segment_weights(view, support, scale)))
