@@ -23,12 +23,7 @@ from .distribution import (
     sample_empirical,
 )
 from .errors import BadEpsError
-from .reduction import (
-    _bottleneck_epsilon,
-    _check_m,
-    _lex_min_support,
-    reduce,
-)
+from .reduction import _check_m, _select, reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +83,10 @@ def opt_trim(x: DiscreteDistribution, m: int) -> BaselineResult:
     two-sided reducer, except that segment weights are full interval masses
     (no halving: mass may only move one way).
     """
-    m = _check_m(m)
-    if m >= x.n:
+    idx, _ = _select(x, m, one_sided=True)
+    if idx.size == x.n:
         return _assess(x, x)
     view = x.cdf
-    eps, _ = _bottleneck_epsilon(view, m, one_sided=True)
-    idx = _lex_min_support(view, m, eps, one_sided=True)
     bounds = np.concatenate((view.cum_left[idx], [view.total]))
     return _assess(x, DiscreteDistribution(x.values[idx], np.diff(bounds)))
 

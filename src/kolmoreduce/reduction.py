@@ -17,21 +17,23 @@ the target and shrink with the source, so these are suffixes and prefixes,
 each one edge past the one before, found by ``bisect`` on the prefix sums
 and settled by scalar steps with the edge weights' own float expressions.
 
-Beyond one 256-point block, the maximum segment weight of the support at
-the mass quantiles is an upper bound T on the optimum, and the horizons at
-T window every DP layer: the t-th point of a path at or below T lies
-between the backward horizon for the points still to come and the forward
-horizon for t points.  Every skipped entry could only raise values, so the
-optimum comes out bit for bit as from the dense O(n^2 m) sweep, at a cost
-that follows how far T sits above the optimum instead of n^2 m: at n = 2000,
-m = 40 with uniform random masses the layers evaluate 18,068 edge weights,
-0.02 % of the dense sweep's 88 million.  Smaller supports take the dense
-sweep.  The same search serves the one-sided reduction (``one_sided``):
-interior segments count in full and the first support point is pinned to
-the smallest source point.  The lexicographically smallest support reaching
-the optimum is the kernel at tau = optimum, in O(m log n) after one O(n)
-list of the prefix sums: each pick is the next point or the backward
-horizon for the remaining budget, whichever is later.
+At every support size, the maximum segment weight of the support at the mass
+quantiles is an upper bound T on the optimum, and the horizons at T window
+every DP layer: the t-th point of a path at or below T lies between the
+backward horizon for the points still to come and the forward horizon for t
+points.  Every skipped entry could only raise values, so the optimum comes
+out bit for bit as from the dense O(n^2 m) sweep, at a cost that follows how
+far T sits above the optimum instead of n^2 m: at n = 2000, m = 40 with
+uniform random masses the layers evaluate 18,068 edge weights, 0.02 % of the
+dense sweep's 88 million.  Heavy-tailed masses leave T further above the
+optimum, so their windows are wider.  The same search serves the one-sided
+reduction (``one_sided``): interior segments count in full and the first
+support point is pinned to the smallest source point, so its quantile
+support cuts the mass evenly at i/m.  The lexicographically smallest support
+reaching the optimum is the kernel at tau = optimum, in O(m log n): each
+pick is the next point or the backward horizon for the remaining budget,
+whichever is later.  ``_select`` runs both, over one O(n) list of the prefix
+sums, for ``reduce`` and the one-sided ``baselines.opt_trim`` alike.
 """
 
 from __future__ import annotations
@@ -84,11 +86,16 @@ def _check_m(m: int) -> int:
 
 
 def _check_indices(indices, n: int | None = None) -> np.ndarray:
-    """Indices as a 1-D int64 array, non-empty and strictly increasing, and
-    within ``range(n)`` when ``n`` is given."""
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
+    """Integer indices as a 1-D int64 array, non-empty and strictly
+    increasing, and within ``range(n)`` when ``n`` is given."""
+    idx = np.asarray(indices)
+    if idx.size == 0:
         raise ValueError("a selection needs at least one index")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":  # bools are kind "b"
+        raise ValueError(
+            f"selection indices must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}"
+        )
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
     if idx.size > 1 and not np.all(np.diff(idx) > 0):
         raise ValueError("selection indices must be strictly increasing")
     if n is not None and (idx[0] < 0 or idx[-1] >= n):
@@ -149,14 +156,16 @@ def construct_on_support(x: DiscreteDistribution, indices) -> DiscreteDistributi
 
 def _quantile_support(view: CumulativeView, m: int, *, one_sided: bool) -> np.ndarray:
     """A cheap feasible support of at most ``m`` points: the first points
-    reaching the mass quantiles ``(i + 0.5) / k``, with k = m, or index 0
-    plus m - 1 quantiles in one-sided mode, whose first point is pinned."""
-    k = m - 1 if one_sided else m
-    q = (np.arange(k) + 0.5) / k * view.total
-    idx = np.searchsorted(view.cum, q)  # q <= total == cum[-1], so idx < n
-    if one_sided:
-        idx = np.concatenate(([0], idx))
-    return np.unique(idx)
+    reaching the mass quantiles ``(i + 0.5) / m`` for i < m, each near the
+    middle of its share of the mass, or in one-sided mode index 0 plus the
+    quantiles ``i / m`` for 0 < i < m, which cut the mass after the pinned
+    point into m nearly equal full-weight segments.  The positions come in
+    increasing order and may repeat; a repeat adds only a segment weighing
+    at most 0 to ``_segment_weights``, so the maximum weight is that of the
+    distinct points."""
+    q = np.arange(1, m) / m if one_sided else (np.arange(m) + 0.5) / m
+    idx = np.searchsorted(view.cum, q * view.total)  # q < 1, so idx < n
+    return np.concatenate(([0], idx)) if one_sided else idx
 
 
 def _first_source(prefix: list[float], v: float, tau: float, scale: float) -> int:
@@ -228,7 +237,9 @@ def _prefix_list(view: CumulativeView) -> list[float]:
     return prefix
 
 
-def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tuple[float, int]:
+def _bottleneck_epsilon(
+    view: CumulativeView, prefix: list[float], m: int, *, one_sided: bool
+) -> tuple[float, int]:
     """Optimal bottleneck value over supports of size at most ``m``, and the
     number of edge weights the DP evaluated to find it.
 
@@ -238,20 +249,21 @@ def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tup
     point.  Each of the m - 1 layers allows one more point ("at most k"
     semantics, so values only improve).  Edges are evaluated on demand in
     column chunks of at most ``_DP_BLOCK``, so scratch memory stays at
-    O(n * block).
+    O(n * block).  ``prefix`` is ``_prefix_list(view)``.
 
-    With more than one block of points, the quantile support's maximum
-    segment weight T is an upper bound on the optimum, fixed for the call,
-    and the horizons at T window each layer.  A path whose every weight is
-    at most T has its t-th point in ``[back[m - t], fwd[t - 1]]``: the
-    entry reaches it with t points and it reaches the exit with the m - t + 1
-    left.  So the layer making t-point paths evaluates only those columns,
-    and only the rows in the (t - 1)-th point's window from the first one
-    whose edge into the chunk's first column weighs at most T.  Skipping
-    entries only raises values, and an optimal path keeps all its edges, so
-    the result is the dense DP's float bit for bit.  The windows narrow as
-    T nears the optimum: at n = 2000 with T within a few percent of it, the
-    layers evaluate well under 1 % of the dense DP's edge weights.
+    The quantile support's maximum segment weight T is an upper bound on
+    the optimum, fixed for the call, and the horizons at T window each
+    layer at every n and m.  A path whose every weight is at most T has its
+    t-th point in ``[back[m - t], fwd[t - 1]]``: the entry reaches it with t
+    points and it reaches the exit with the m - t + 1 left.  So the layer
+    making t-point paths evaluates only those columns, and only the rows in
+    the (t - 1)-th point's window from the first one whose edge into the
+    chunk's first column weighs at most T.  Skipping entries only raises
+    values, and an optimal path keeps all its edges, so the result is the
+    dense DP's float bit for bit.  The windows narrow as T nears the
+    optimum: at n = 2000 with T within a few percent of it, the layers
+    evaluate well under 1 % of the dense DP's edge weights; heavy-tailed
+    masses leave T, and so the windows, wider.
     """
     cum, cum_left = view.cum, view.cum_left
     n = cum.size
@@ -261,13 +273,9 @@ def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tup
         b[0] = 0.0
     else:
         b = cum_left
-    if n > _DP_BLOCK and m > 1:
-        support = _quantile_support(view, m, one_sided=one_sided)
-        bound = float(np.max(_segment_weights(view, support, scale)))
-        prefix = _prefix_list(view)
-        back, fwd = _horizons(prefix, bound, m, scale, one_sided=one_sided)
-    else:
-        back, fwd = [0] * m, [n - 1] * m
+    support = _quantile_support(view, m, one_sided=one_sided)
+    bound = float(np.max(_segment_weights(view, support, scale)))
+    back, fwd = _horizons(prefix, bound, m, scale, one_sided=one_sided)
     # A support narrower than a block reads its own contiguous copy, which
     # is faster than a strided view of the full floor.
     width = min(_DP_BLOCK, n)
@@ -280,9 +288,7 @@ def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tup
         col_hi = fwd[t - 1] + 1
         for a in range(back[m - t], col_hi, _DP_BLOCK):
             e = min(a + _DP_BLOCK, col_hi)
-            # No row precedes a chunk at 0, and without a bound every chunk
-            # starts there.
-            lo = max(row_lo, _first_source(prefix, prefix[a], bound, scale)) if a else 0
+            lo = max(row_lo, _first_source(prefix, prefix[a], bound, scale))
             hi = min(row_hi, e - 1)
             # Rows before the chunk reach all of its columns; rows inside it
             # only later ones, and the floor removes the rest.
@@ -303,8 +309,9 @@ def _bottleneck_epsilon(view: CumulativeView, m: int, *, one_sided: bool) -> tup
     return float(np.min(np.maximum(b, view.total - cum))), cells
 
 
-def _lex_min_support(view: CumulativeView, m: int, eps: float, *, one_sided: bool) -> np.ndarray:
-    """Lexicographically smallest support set achieving bottleneck <= eps.
+def _lex_min_support(prefix: list[float], m: int, eps: float, *, one_sided: bool) -> np.ndarray:
+    """Lexicographically smallest support set achieving bottleneck <= eps,
+    over the prefix sums ``prefix`` of ``_prefix_list``.
 
     The backward horizons at ``eps`` say, for each remaining budget r, the
     first point from which the exit is still reachable with r points.  The
@@ -313,10 +320,8 @@ def _lex_min_support(view: CumulativeView, m: int, eps: float, *, one_sided: boo
     next point at or past that horizon, ``max(cur + 1, back[rem - 1])``: the
     edge into it is the lightest into any admissible point, so it fits
     whenever any does.  An ``eps`` below the optimum ends in an edge check
-    or the budget check failing.  Cost: O(n) for the prefix list plus
-    O(m log n).
+    or the budget check failing.  Cost: O(m log n).
     """
-    prefix = _prefix_list(view)
     total = prefix[-1]
     scale = 1.0 if one_sided else 0.5
     back, _ = _horizons(prefix, eps, m, scale, one_sided=one_sided)
@@ -335,6 +340,22 @@ def _lex_min_support(view: CumulativeView, m: int, eps: float, *, one_sided: boo
     return np.asarray(chosen, dtype=np.int64)
 
 
+def _select(x: DiscreteDistribution, m: int, *, one_sided: bool) -> tuple[np.ndarray, float]:
+    """The lexicographically smallest support of at most ``m`` points with
+    the least maximum segment weight, and that weight: every point when the
+    budget allows, else the windowed search and the extraction at its
+    optimum over one list of the prefix sums."""
+    m = _check_m(m)
+    if m >= x.n:
+        return np.arange(x.n, dtype=np.int64), 0.0
+    view = x.cdf
+    prefix = _prefix_list(view)
+    eps, _ = _bottleneck_epsilon(view, prefix, m, one_sided=one_sided)
+    # The extraction keeps every segment weight <= eps, and no support of
+    # size m does better, so eps is the selection's maximum segment weight.
+    return _lex_min_support(prefix, m, eps, one_sided=one_sided), eps
+
+
 def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
     """Support set of size at most ``m`` minimizing the maximum segment
     weight, i.e. the best achievable Kolmogorov distance.
@@ -342,15 +363,7 @@ def min_bottleneck_support(x: DiscreteDistribution, m: int) -> SupportSelection:
     Ties are broken toward the lexicographically smallest index set, so the
     output is deterministic and matches the exhaustive oracle.
     """
-    m = _check_m(m)
-    n = x.n
-    if m >= n:
-        return SupportSelection(np.arange(n, dtype=np.int64), 0.0)
-    view = x.cdf
-    eps, _ = _bottleneck_epsilon(view, m, one_sided=False)
-    # The extraction keeps every segment weight <= eps, and no support of
-    # size m does better, so eps is the selection's maximum segment weight.
-    return SupportSelection(_lex_min_support(view, m, eps, one_sided=False), eps)
+    return SupportSelection(*_select(x, m, one_sided=False))
 
 
 def reduce(x: DiscreteDistribution, m: int) -> ReductionResult:

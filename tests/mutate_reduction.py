@@ -1,19 +1,21 @@
-"""Mutation check of the bottleneck search's horizon kernel, DP windows and
-extraction.
+"""Mutation check of the bottleneck search's horizon kernel, bound, DP
+windows, extraction and selection.
 
 Each mutant changes one spot in ``src/kolmoreduce/reduction.py``, inside
-``_first_source``, ``_last_target``, ``_horizons``, ``_bottleneck_epsilon``
-or ``_lex_min_support``:
+``_first_source``, ``_last_target``, ``_horizons``, ``_quantile_support``,
+``_bottleneck_epsilon``, ``_lex_min_support`` or ``_select``:
 
 - a comparison ``<=`` <-> ``<`` or ``>=`` <-> ``>``;
 - an offset ``x + k`` / ``x - k``, or an integer bound passed to ``bisect``,
   moved by -1 or +1;
-- ``bisect_left`` <-> ``bisect_right``;
+- ``bisect_left`` <-> ``bisect_right``, or a ``searchsorted`` side flipped;
 - a fix-up loop of the kernel dropped (its condition made false).
 
-Every mutant runs ``tests/test_reduction.py`` and ``tests/test_acceptance.py``
-on its own copy of the package, the kernel's own tests first, and the
-mutants that no test kills are listed at the end.  A run that overruns
+Every mutant runs ``tests/test_reduction.py``, ``tests/test_acceptance.py``
+and ``tests/test_baselines.py`` on its own copy of the package, the kernel's
+own tests first, and the mutants that no test kills are listed at the end.
+A target that is missing from ``reduction.py``, or has nothing to mutate,
+stops the script with a non-zero exit.  A run that overruns
 three times the unmutated run counts as killed.  The file name keeps it
 out of pytest's collection.  From the repository root:
 
@@ -37,13 +39,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kolmoreduce"
-TESTS = [str(ROOT / "tests" / "test_reduction.py"), str(ROOT / "tests" / "test_acceptance.py")]
-TARGETS = ("_first_source", "_last_target", "_horizons", "_bottleneck_epsilon", "_lex_min_support")
+TESTS = [str(ROOT / "tests" / f"test_{name}.py") for name in ("reduction", "acceptance", "baselines")]
+TARGETS = ("_first_source", "_last_target", "_horizons", "_quantile_support", "_bottleneck_epsilon",
+           "_lex_min_support", "_select")
 FIXUP_LOOPS = ("_first_source", "_last_target")
 SWAP_CMP = {ast.LtE: ast.Lt, ast.Lt: ast.LtE, ast.GtE: ast.Gt, ast.Gt: ast.GtE}
 SWAP_BISECT = {"bisect_left": "bisect_right", "bisect_right": "bisect_left"}
+SWAP_SIDE = {"left": "right", "right": "left"}
 # The tests that exercise the kernel and the windows run first, so that
-# most mutants die within seconds; the rest of both files runs after them.
+# most mutants die within seconds; the rest of the files runs after them.
 FIRST = "horizon or lex_min or bottleneck_epsilon or greedy or criterion_8"
 STAGES = [(TESTS[:1], FIRST), (TESTS, f"not ({FIRST})")]
 JOBS = 2  # mutants run at once, each one pytest process
@@ -69,6 +73,8 @@ def _variants(fn: str, node: ast.AST) -> list[tuple]:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in SWAP_BISECT:
         bounds = [i for i, arg in enumerate(node.args) if i >= 2 and _int_const(arg)]
         return [("bisect",)] + [("bound", i, d) for i in bounds for d in (-1, 1)]
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "searchsorted":
+        return [("side",)]
     if isinstance(node, ast.While) and fn in FIXUP_LOOPS:
         return [("drop",)]
     return []
@@ -84,12 +90,17 @@ def _apply(node: ast.AST, variant: tuple) -> None:
         node.func = ast.Name(SWAP_BISECT[node.func.id], ast.Load())
     elif kind == "bound":
         node.args[variant[1]] = ast.Constant(node.args[variant[1]].value + variant[2])
+    elif kind == "side":
+        side = next((k.value.value for k in node.keywords if k.arg == "side"), "left")
+        node.keywords = [k for k in node.keywords if k.arg != "side"]
+        node.keywords.append(ast.keyword("side", ast.Constant(SWAP_SIDE[side])))
     else:  # drop
         node.test = ast.Constant(False)
 
 
 def mutants(source: str) -> list[tuple[str, str]]:
-    """(description, mutated source) for every mutant of ``source``."""
+    """(description, mutated source) for every mutant of ``source``; exits
+    non-zero when some target yields none."""
     tree = ast.parse(source)
     out = []
     for k, (fn, node) in enumerate(_sites(tree)):
@@ -110,6 +121,9 @@ def mutants(source: str) -> list[tuple[str, str]]:
             else:
                 change = f"`{before}` -> `{ast.unparse(shown)}`"
             out.append((f"{fn}:{node.lineno}: {change}", ast.unparse(mutated)))
+    missing = [t for t in TARGETS if not any(desc.startswith(f"{t}:") for desc, _ in out)]
+    if missing:
+        sys.exit(f"no mutant in {', '.join(missing)}: missing from reduction.py or nothing to mutate")
     return out
 
 

@@ -7,6 +7,7 @@ from kolmoreduce import (
     BadMError,
     CumulativeView,
     DiscreteDistribution,
+    SupportSelection,
     construct_on_support,
     epsilon_for_support,
     kolmogorov_distance,
@@ -23,6 +24,7 @@ from kolmoreduce.reduction import (
     _horizons,
     _last_target,
     _lex_min_support,
+    _prefix_list,
     _quantile_support,
     _segment_weights,
 )
@@ -105,6 +107,23 @@ class TestEpsilonForSupport:
         with pytest.raises(ValueError):
             epsilon_for_support(UNIFORM4, [2, 1])
 
+    def test_rejects_fractional_indices(self):
+        five = DiscreteDistribution(np.arange(5.0), np.full(5, 0.2))
+        fractional = "selection indices must be a 1-D integer array, got float64"
+        with pytest.raises(ValueError, match=fractional):
+            epsilon_for_support(five, [0.5, 2.7])
+        with pytest.raises(ValueError, match=fractional):
+            SupportSelection(np.array([0.9, 2.2]), 0.1)
+
+    def test_rejects_boolean_indices(self):
+        with pytest.raises(ValueError, match="selection indices must be a 1-D integer array, got bool"):
+            epsilon_for_support(UNIFORM4, [False, True])
+
+    def test_rejects_nested_indices_by_shape(self):
+        shape = r"selection indices must be a 1-D integer array, got int64 of shape \(1, 2\)"
+        with pytest.raises(ValueError, match=shape):
+            epsilon_for_support(UNIFORM4, [[1, 2]])
+
 
 class TestConstructOnSupport:
     def test_collapses_to_middle_point(self):
@@ -168,10 +187,14 @@ class TestReduce:
 
     def test_generous_budget_is_identity(self):
         rng = np.random.default_rng(7)
-        x = random_distribution(rng, n=9)
-        result = reduce(x, 9)
-        assert result.approx is x
-        assert result.distance == 0.0
+        # In the second input the last mass vanishes in the prefix sums, so
+        # a search at epsilon 0 would drop that point; the budget check
+        # keeps it.
+        tiny_tail = DiscreteDistribution(np.arange(2.0), np.array([1.0, 1e-20]))
+        for x in (random_distribution(rng, n=9), tiny_tail):
+            result = reduce(x, x.n)
+            assert result.approx is x
+            assert result.distance == 0.0
 
     def test_bad_budget(self):
         with pytest.raises(BadMError):
@@ -327,8 +350,8 @@ def test_lex_min_support_matches_slow_reference(kind):
     for n, m in cases:
         view = _instance(rng, kind, n).cdf
         for one_sided in (False, True):
-            eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
-            fast = _lex_min_support(view, m, eps, one_sided=one_sided)
+            eps, _ = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
+            fast = _lex_min_support(_prefix_list(view), m, eps, one_sided=one_sided)
             slow = _slow_lex_min_support(view, m, eps, halve=not one_sided, pinned_first=one_sided)
             assert fast.tolist() == slow.tolist(), (kind, n, m, one_sided)
 
@@ -345,9 +368,9 @@ def test_lex_min_support_matches_vectorised_reference_at_large_n(kind):
             support = _quantile_support(view, m, one_sided=one_sided)
             thresholds = [float(np.max(_segment_weights(view, support, scale)))]
             if n <= 20000 and not one_sided:
-                thresholds.append(_bottleneck_epsilon(view, m, one_sided=one_sided)[0])
+                thresholds.append(_bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)[0])
             for eps in thresholds:
-                fast = _lex_min_support(view, m, eps, one_sided=one_sided)
+                fast = _lex_min_support(_prefix_list(view), m, eps, one_sided=one_sided)
                 ref = _vectorised_lex_min_support(view, m, eps, one_sided=one_sided)
                 assert fast.tolist() == ref.tolist(), (kind, n, m, one_sided, eps)
 
@@ -362,7 +385,7 @@ def test_lex_min_support_rejects_epsilon_below_the_optimum(kind):
         m = 1 if case % 10 == 0 else int(rng.integers(2, min(n, 40)))
         view = _instance(rng, kind, n).cdf
         for one_sided in (False, True):
-            eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
+            eps, _ = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
             assert eps > 0.0
             below = np.nextafter(eps, 0.0)
             if one_sided and m == 1:
@@ -370,7 +393,7 @@ def test_lex_min_support_rejects_epsilon_below_the_optimum(kind):
             else:
                 message = "bottleneck extraction hit an infeasible edge"
             with pytest.raises(AssertionError, match=message):
-                _lex_min_support(view, m, below, one_sided=one_sided)
+                _lex_min_support(_prefix_list(view), m, below, one_sided=one_sided)
 
 
 def _prefix(view):
@@ -473,7 +496,7 @@ def test_epsilon_is_optimal_by_greedy_witness(kind):
         for one_sided in (False, True):
             if m >= n:
                 continue
-            eps, _ = _bottleneck_epsilon(view, m, one_sided=one_sided)
+            eps, _ = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
             assert _greedy_points(view, eps, one_sided=one_sided) <= m, (kind, n, m, one_sided)
             if eps > 0.0:
                 below = np.nextafter(eps, 0.0)
@@ -525,7 +548,7 @@ def _dense_bottleneck_epsilon(view, m, *, halve, pinned_first):
 def _check_against_dense(view, m, modes=(False, True)):
     n = view.cum.size
     for one_sided in modes:
-        eps, cells = _bottleneck_epsilon(view, m, one_sided=one_sided)
+        eps, cells = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
         dense = _dense_bottleneck_epsilon(view, m, halve=not one_sided, pinned_first=one_sided)
         assert eps == dense, (n, m, one_sided)
         blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]
@@ -539,6 +562,35 @@ def test_bottleneck_epsilon_matches_dense_reference(kind):
     cases += [(int(rng.integers(1000, 4001)), int(rng.integers(2, 71))) for _ in range(2)]
     for n, m in cases:
         _check_against_dense(_instance(rng, kind, n).cdf, m)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bottleneck_epsilon_matches_dense_reference_within_one_block(kind):
+    # Supports of at most one block are windowed like any other: the chunk
+    # starts at the window, and its first row comes from the bound.
+    rng = np.random.default_rng(70 + KINDS.index(kind))
+    sizes = [2, 3, _DP_BLOCK - 1, _DP_BLOCK] + [int(n) for n in rng.integers(4, _DP_BLOCK, 40)]
+    for n in sizes:
+        view = _instance(rng, kind, n).cdf
+        for m in {1, 2, min(n - 1, 70), int(rng.integers(1, min(n - 1, 70) + 1))}:
+            if m > 1:
+                _check_against_dense(view, m)
+                continue
+            for one_sided in (False, True):
+                dense = _dense_bottleneck_epsilon(view, 1, halve=not one_sided, pinned_first=one_sided)
+                assert _bottleneck_epsilon(view, _prefix_list(view), 1, one_sided=one_sided) == (dense, 0)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "tied"])
+def test_one_sided_bound_cuts_the_mass_at_whole_shares(kind):
+    # One-sided, the optimum is near total / m, and so is the weight of the
+    # quantile support that cuts the mass at i / m after the pinned point:
+    # the windows then hold a handful of edge weights, not tens of millions.
+    rng = np.random.default_rng(80 + KINDS.index(kind))
+    view = _instance(rng, kind, 20000).cdf
+    eps, cells = _bottleneck_epsilon(view, _prefix_list(view), 3, one_sided=True)
+    assert eps == _dense_bottleneck_epsilon(view, 3, halve=False, pinned_first=True)
+    assert cells <= 1000, cells
 
 
 @pytest.mark.parametrize(
