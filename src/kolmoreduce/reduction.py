@@ -9,31 +9,35 @@ and the best S is a minimax (bottleneck) path with a hop budget through the
 support.  A layered dynamic program finds the optimal weight, evaluating edge
 weights on demand instead of materializing the quadratic edge set.
 
-One threshold-horizon kernel serves the search and the extraction.  At a
-threshold tau it gives, for every hop budget, the first point from which the
-exit is reachable (backward horizons) and the last point reachable from the
-entry (forward horizons) with every weight at most tau: weights grow with
-the target and shrink with the source, so these are suffixes and prefixes,
-each one edge past the one before, found by ``bisect`` on the prefix sums
-and settled by scalar steps with the edge weights' own float expressions.
+Threshold horizons serve the search and the extraction.  At a threshold tau
+they give, for every hop budget, the first point from which the exit is
+reachable (backward horizons) and the last point reachable from the entry
+(forward horizons) with every weight at most tau: weights grow with the
+target and shrink with the source, so these are suffixes and prefixes, each
+one edge past the one before, found by ``bisect`` on the prefix sums and
+settled by scalar steps with the edge weights' own float expressions.  The
+search uses both chains, the extraction only the backward one.
 
 At every support size, the maximum segment weight of the support at the mass
 quantiles is an upper bound T on the optimum, and the horizons at T window
 every DP layer: the t-th point of a path at or below T lies between the
 backward horizon for the points still to come and the forward horizon for t
-points.  Every skipped entry could only raise values, so the optimum comes
-out bit for bit as from the dense O(n^2 m) sweep, at a cost that follows how
-far T sits above the optimum instead of n^2 m: at n = 2000, m = 40 with
-uniform random masses the layers evaluate 18,068 edge weights, 0.02 % of the
-dense sweep's 88 million.  Heavy-tailed masses leave T further above the
-optimum, so their windows are wider.  The same search serves the one-sided
-reduction (``one_sided``): interior segments count in full and the first
-support point is pinned to the smallest source point, so its quantile
-support cuts the mass evenly at i/m.  The lexicographically smallest support
-reaching the optimum is the kernel at tau = optimum, in O(m log n): each
-pick is the next point or the backward horizon for the remaining budget,
-whichever is later.  ``_select`` runs both, over one O(n) list of the prefix
-sums, for ``reduce`` and the one-sided ``baselines.opt_trim`` alike.
+points.  A layer evaluates its window in chunks of columns, each in one
+masked pass over the rows that can reach it, and writes into the older of
+two buffers of n values, which swap roles each layer.  Every skipped entry
+could only raise values, so the optimum comes out bit for bit as from the
+dense O(n^2 m) sweep, at a cost that follows how far T sits above the
+optimum instead of n^2 m: at n = 2000, m = 40 with uniform random masses the
+layers evaluate 18,068 edge weights, 0.02 % of the dense sweep's 88 million.
+Heavy-tailed masses leave T further above the optimum, so their windows are
+wider.  The same search serves the one-sided reduction (``one_sided``):
+interior segments count in full and the first support point is pinned to the
+smallest source point, so its quantile support cuts the mass evenly at i/m.
+The lexicographically smallest support reaching the optimum comes from the
+backward horizons at tau = optimum, in O(m log n): each pick is the next
+point or the backward horizon for the remaining budget, whichever is later.
+``_select`` runs both, over one O(n) list of the prefix sums, for ``reduce``
+and the one-sided ``baselines.opt_trim`` alike.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 from .distribution import CumulativeView, DiscreteDistribution
 from .errors import BadMError
 
-# Column width of the blocked DP sweep; bounds scratch memory at n*block floats.
+# Column width of the blocked DP sweep; bounds scratch memory at rows*block floats.
 _DP_BLOCK = 256
 # Floor for a block's own edge weights: +inf removes the edges into a target
 # at or before the source, -inf leaves every other weight as it is.
@@ -95,6 +99,8 @@ def _check_indices(indices, n: int | None = None) -> np.ndarray:
         raise ValueError(
             f"selection indices must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}"
         )
+    if idx.dtype.kind == "u" and idx.max() > np.iinfo(np.int64).max:
+        raise ValueError("selection indices must fit in int64")
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     if idx.size > 1 and not np.all(np.diff(idx) > 0):
         raise ValueError("selection indices must be strictly increasing")
@@ -148,10 +154,18 @@ def epsilon_for_support(x: DiscreteDistribution, indices) -> float:
 def construct_on_support(x: DiscreteDistribution, indices) -> DiscreteDistribution:
     """The closest distribution to ``x`` among those supported on the given
     positions: each kept point absorbs its own mass plus the weight of the
-    segments on both sides."""
+    segments on both sides.
+
+    The result meets every invariant of a distribution without a second
+    check.  Its values are ``x``'s at strictly increasing positions, so
+    they are strictly increasing and finite.  Each mass is a positive
+    source mass plus segment weights that are >= 0 because the prefix sums
+    never decrease.  The masses telescope to ``x``'s prefix total, which
+    lies within ``MASS_TOL`` of one, up to a few roundings per kept point.
+    """
     idx = _check_indices(indices, x.n)
     w = _segment_weights(x.cdf, idx)
-    return DiscreteDistribution(x.values[idx], w[:-1] + w[1:] + x.probs[idx])
+    return DiscreteDistribution._checked(x.values[idx], w[:-1] + w[1:] + x.probs[idx])
 
 
 def _quantile_support(view: CumulativeView, m: int, *, one_sided: bool) -> np.ndarray:
@@ -205,28 +219,35 @@ def _last_target(prefix: list[float], c: float, tau: float, scale: float) -> int
     return j
 
 
+def _back_horizons(prefix: list[float], tau: float, count: int, scale: float) -> list[int]:
+    """Backward horizons, for 1 to ``count`` points, of paths whose every
+    weight is at most ``tau``: ``back[r - 1]`` is the first point from which
+    the exit can be reached with at most r points.  Weights shrink with the
+    source, so the set is a suffix of the points, and each horizon is the
+    first source of an edge into the one before.  Cost: O(count log n).
+    """
+    back = [_first_source(prefix, prefix[-1], tau, 1.0)]
+    for _ in range(count - 1):
+        back.append(_first_source(prefix, prefix[back[-1]], tau, scale))
+    return back
+
+
 def _horizons(
     prefix: list[float], tau: float, count: int, scale: float, *, one_sided: bool
 ) -> tuple[list[int], list[int]]:
     """Backward and forward horizons, for 1 to ``count`` points, of paths
     whose every weight is at most ``tau``.
 
-    ``back[r - 1]`` is the first point from which the exit can be reached
-    with at most r points, and ``fwd[k - 1]`` the last point the entry
-    reaches with at most k points.  Weights grow with the target and shrink
-    with the source, so the first set is a suffix and the second a prefix
-    of the points, and each horizon is one edge past the one before: the
-    first source of an edge into ``back[r - 2]``, the farthest target of an
-    edge out of ``fwd[k - 2]``.  The one-sided entry is pinned to point 0.
-    Cost: O(count log n).
+    ``back`` is ``_back_horizons``, and ``fwd[k - 1]`` is the last point the
+    entry reaches with at most k points.  Weights grow with the target, so
+    that set is a prefix of the points, and each horizon is the farthest
+    target of an edge out of the one before.  The one-sided entry is pinned
+    to point 0.  Cost: O(count log n).
     """
-    n = len(prefix) - 1
-    back = [_first_source(prefix, prefix[n], tau, 1.0)]
     fwd = [0 if one_sided else _last_target(prefix, 0.0, tau, 1.0)]
     for _ in range(count - 1):
-        back.append(_first_source(prefix, prefix[back[-1]], tau, scale))
         fwd.append(_last_target(prefix, prefix[fwd[-1] + 1], tau, scale))
-    return back, fwd
+    return _back_horizons(prefix, tau, count, scale), fwd
 
 
 def _prefix_list(view: CumulativeView) -> list[float]:
@@ -247,9 +268,14 @@ def _bottleneck_epsilon(
     the mass before it; one-sided mode (``one_sided``) counts interior
     masses in full and pins the first support point to the smallest source
     point.  Each of the m - 1 layers allows one more point ("at most k"
-    semantics, so values only improve).  Edges are evaluated on demand in
-    column chunks of at most ``_DP_BLOCK``, so scratch memory stays at
-    O(n * block).  ``prefix`` is ``_prefix_list(view)``.
+    semantics, so values only improve).  Two buffers of n values hold the
+    last two layers and swap roles: a layer writes only the columns of its
+    window, each the minimum of the layer before and its best edge.  Edges
+    are evaluated on demand in column chunks of at most ``_DP_BLOCK``, each
+    in one pass over the rows that can reach the chunk, with a floor that
+    removes the edges into columns at or before the row; so scratch memory
+    is those rows times the chunk width.  ``prefix`` is
+    ``_prefix_list(view)``.
 
     The quantile support's maximum segment weight T is an upper bound on
     the optimum, fixed for the call, and the horizons at T window each
@@ -258,9 +284,13 @@ def _bottleneck_epsilon(
     points and it reaches the exit with the m - t + 1 left.  So the layer
     making t-point paths evaluates only those columns, and only the rows in
     the (t - 1)-th point's window from the first one whose edge into the
-    chunk's first column weighs at most T.  Skipping entries only raises
-    values, and an optimal path keeps all its edges, so the result is the
-    dense DP's float bit for bit.  The windows narrow as T nears the
+    chunk's first column weighs at most T.  A column that a layer reads but
+    the layer before did not write still holds a value from an earlier
+    layer: a real path's weight, at or above the one the layer before would
+    have carried.  Skipping entries and reading such values only raise
+    values, and an optimal path keeps all its edges, with its t-th point in
+    layer t's window and its last point in every later one, so the result is
+    the dense DP's float bit for bit.  The windows narrow as T nears the
     optimum: at n = 2000 with T within a few percent of it, the layers
     evaluate well under 1 % of the dense DP's edge weights; heavy-tailed
     masses leave T, and so the windows, wider.
@@ -272,7 +302,8 @@ def _bottleneck_epsilon(
         b = np.full(n, np.inf)
         b[0] = 0.0
     else:
-        b = cum_left
+        b = cum_left.copy()
+    prev = b.copy()
     support = _quantile_support(view, m, one_sided=one_sided)
     bound = float(np.max(_segment_weights(view, support, scale)))
     back, fwd = _horizons(prefix, bound, m, scale, one_sided=one_sided)
@@ -282,30 +313,30 @@ def _bottleneck_epsilon(
     corner_floor = np.ascontiguousarray(_CORNER_FLOOR[:width, :width])
     cells = 0
     for t in range(2, m + 1):
-        prev = b
-        b = prev.copy()
+        prev, b = b, prev
         row_lo, row_hi = back[m - t + 1], fwd[t - 2] + 1
-        col_hi = fwd[t - 1] + 1
-        for a in range(back[m - t], col_hi, _DP_BLOCK):
+        col_lo, col_hi = back[m - t], fwd[t - 1] + 1
+        for a in range(col_lo, col_hi, _DP_BLOCK):
             e = min(a + _DP_BLOCK, col_hi)
-            lo = max(row_lo, _first_source(prefix, prefix[a], bound, scale))
+            # By the definition of back, row_lo is the first row of the
+            # first chunk.
+            lo = row_lo if a == col_lo else _first_source(prefix, prefix[a], bound, scale)
             hi = min(row_hi, e - 1)
+            w = cum_left[a:e] - cum[lo:hi, None]
+            w *= scale
+            np.maximum(w, prev[lo:hi, None], out=w)
             # Rows before the chunk reach all of its columns; rows inside it
             # only later ones, and the floor removes the rest.
-            split = min(max(lo, a), hi)
-            target_left = cum_left[a:e]
-            best = np.full(e - a, np.inf)
-            if lo < split:
-                w = (target_left - cum[lo:split, None]) * scale
-                np.maximum(w, prev[lo:split, None], out=w)
-                np.minimum(best, w.min(axis=0), out=best)
-            if split < hi:
-                w = (target_left - cum[split:hi, None]) * scale
-                np.maximum(w, prev[split:hi, None], out=w)
-                np.maximum(w, corner_floor[split - a:hi - a, :e - a], out=w)
-                np.minimum(best, w.min(axis=0), out=best)
-            np.minimum(b[a:e], best, out=b[a:e])
+            if a < hi:
+                split = max(lo, a)
+                np.maximum(w[split - lo:], corner_floor[split - a:hi - a, :e - a], out=w[split - lo:])
+            np.minimum(prev[a:e], np.minimum.reduce(w, axis=0, initial=np.inf), out=b[a:e])
             cells += max(hi - lo, 0) * (e - a)
+            # Free the chunk before the next one is allocated, so that the
+            # allocator reuses its memory: with both alive, the heap is
+            # trimmed and the next chunk faults in fresh pages (at n = 2000,
+            # m = 1000, 140 k page faults and 1.5 times the time per call).
+            del w
     return float(np.min(np.maximum(b, view.total - cum))), cells
 
 
@@ -324,7 +355,7 @@ def _lex_min_support(prefix: list[float], m: int, eps: float, *, one_sided: bool
     """
     total = prefix[-1]
     scale = 1.0 if one_sided else 0.5
-    back, _ = _horizons(prefix, eps, m, scale, one_sided=one_sided)
+    back = _back_horizons(prefix, eps, m, scale)
     chosen: list[int] = [0] if one_sided else []
     cur = 0 if one_sided else -1
     while not chosen or total - prefix[cur + 1] > eps:

@@ -2,8 +2,9 @@
 windows, extraction and selection.
 
 Each mutant changes one spot in ``src/kolmoreduce/reduction.py``, inside
-``_first_source``, ``_last_target``, ``_horizons``, ``_quantile_support``,
-``_bottleneck_epsilon``, ``_lex_min_support`` or ``_select``:
+``_first_source``, ``_last_target``, ``_back_horizons``, ``_horizons``,
+``_quantile_support``, ``_bottleneck_epsilon``, ``_lex_min_support`` or
+``_select``:
 
 - a comparison ``<=`` <-> ``<`` or ``>=`` <-> ``>``;
 - an offset ``x + k`` / ``x - k``, or an integer bound passed to ``bisect``,
@@ -40,8 +41,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kolmoreduce"
 TESTS = [str(ROOT / "tests" / f"test_{name}.py") for name in ("reduction", "acceptance", "baselines")]
-TARGETS = ("_first_source", "_last_target", "_horizons", "_quantile_support", "_bottleneck_epsilon",
-           "_lex_min_support", "_select")
+TARGETS = ("_first_source", "_last_target", "_back_horizons", "_horizons", "_quantile_support",
+           "_bottleneck_epsilon", "_lex_min_support", "_select")
 FIXUP_LOOPS = ("_first_source", "_last_target")
 SWAP_CMP = {ast.LtE: ast.Lt, ast.Lt: ast.LtE, ast.GtE: ast.Gt, ast.Gt: ast.GtE}
 SWAP_BISECT = {"bisect_left": "bisect_right", "bisect_right": "bisect_left"}

@@ -9,6 +9,7 @@ from kolmoreduce import (
     DiscreteDistribution,
     SupportSelection,
     construct_on_support,
+    convolve,
     epsilon_for_support,
     kolmogorov_distance,
     make_distribution,
@@ -119,6 +120,20 @@ class TestEpsilonForSupport:
         with pytest.raises(ValueError, match="selection indices must be a 1-D integer array, got bool"):
             epsilon_for_support(UNIFORM4, [False, True])
 
+    def test_rejects_unsigned_indices_past_int64(self):
+        with pytest.raises(ValueError, match="selection indices must fit in int64"):
+            SupportSelection(np.array([2**63 + 1], dtype=np.uint64), 0.1)
+        with pytest.raises(ValueError, match="selection indices must fit in int64"):
+            epsilon_for_support(UNIFORM4, np.array([1, 2**64 - 1], dtype=np.uint64))
+
+    def test_accepts_unsigned_indices_in_range(self):
+        idx = np.array([0, 2], dtype=np.uint64)
+        assert SupportSelection(idx, 0.25).indices.tolist() == [0, 2]
+        assert epsilon_for_support(UNIFORM4, idx) == 0.25
+        assert construct_on_support(UNIFORM4, idx) == construct_on_support(UNIFORM4, [0, 2])
+        top = SupportSelection(np.array([2**63 - 1], dtype=np.uint64), 0.1)
+        assert top.indices.tolist() == [2**63 - 1]
+
     def test_rejects_nested_indices_by_shape(self):
         shape = r"selection indices must be a 1-D integer array, got int64 of shape \(1, 2\)"
         with pytest.raises(ValueError, match=shape):
@@ -138,6 +153,22 @@ class TestConstructOnSupport:
         approx = construct_on_support(UNIFORM4, [0, 3])
         assert approx == make_distribution([(1, 0.5), (4, 0.5)])
         assert kolmogorov_distance(UNIFORM4, approx) == 0.25
+
+    @pytest.mark.parametrize("kind", ["uniform", "pareto"])
+    def test_result_passes_the_full_check(self, kind):
+        # The result skips the constructor's checks; building it again with
+        # them must accept it unchanged, at every size of support kept, on
+        # random positions and on the reducer's own.
+        rng = np.random.default_rng(90 + (kind == "pareto"))
+        for n in (2, 3, 50, 1000, 100000):
+            x = DiscreteDistribution(np.sort(rng.normal(0.0, 10.0, n)), masses(rng, kind, n))
+            for m in {1, 2, max(1, n // 2), n - 1}:
+                picks = [np.sort(rng.choice(n, size=m, replace=False))]
+                if m <= 64:
+                    picks.append(reduce(x, m).selection.indices)
+                for positions in picks:
+                    a = construct_on_support(x, positions)
+                    assert DiscreteDistribution(a.values.copy(), a.probs.copy()) == a, (kind, n, m)
 
     @given(distributions(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -579,6 +610,27 @@ def test_bottleneck_epsilon_matches_dense_reference_within_one_block(kind):
             for one_sided in (False, True):
                 dense = _dense_bottleneck_epsilon(view, 1, halve=not one_sided, pinned_first=one_sided)
                 assert _bottleneck_epsilon(view, _prefix_list(view), 1, one_sided=one_sided) == (dense, 0)
+
+
+def test_bottleneck_epsilon_matches_dense_reference_on_convolved_grids():
+    # Sums of 30-point leaves on an integer grid, as the pipeline builds
+    # them.  Each layer's window sits right of the one before, so a layer
+    # reads entries that the layer before it did not write; they come from
+    # the buffer two layers back, which only ever holds real path values.
+    rng = np.random.default_rng(85)
+
+    def leaf():
+        p = rng.random(30)
+        return DiscreteDistribution(np.sort(rng.choice(60, 30, replace=False)).astype(np.float64), p / p.sum())
+
+    x = leaf()
+    for _ in range(12):
+        budgets = {16, 48} | ({x.n - 1, x.n - 4} if x.n <= 300 else set())
+        for m in sorted(b for b in budgets if 2 <= b < x.n):
+            _check_against_dense(x.cdf, m)
+        x = convolve(x, leaf())
+    assert x.n > _DP_BLOCK * 2
+    _check_against_dense(x.cdf, x.n - 1)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "tied"])
