@@ -20,6 +20,7 @@ from .distribution import (
     DOMINANCE_SLACK,
     DiscreteDistribution,
     _cdf_gaps,
+    _combined,
     sample_empirical,
 )
 from .errors import BadEpsError
@@ -81,14 +82,16 @@ def opt_trim(x: DiscreteDistribution, m: int) -> BaselineResult:
     each segment's mass down to the segment's left endpoint, and picks the
     remaining points with the same hop-bounded bottleneck search as the
     two-sided reducer, except that segment weights are full interval masses
-    (no halving: mass may only move one way).
+    (no halving: mass may only move one way).  A kept point whose segment
+    mass rounds to 0 is dropped, so the result can hold fewer points than
+    the search kept.
     """
     idx, _ = _select(x, m, one_sided=True)
     if idx.size == x.n:
         return _assess(x, x)
     view = x.cdf
     bounds = np.concatenate((view.cum_left[idx], [view.total]))
-    return _assess(x, DiscreteDistribution(x.values[idx], np.diff(bounds)))
+    return _assess(x, _combined(x.values[idx], np.diff(bounds)))
 
 
 def sample_reduce(

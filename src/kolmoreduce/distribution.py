@@ -3,6 +3,19 @@
 A distribution is stored as a sorted support with strictly positive masses.
 Everything here is immutable and pure: operations return new objects and
 never mutate their inputs, so values can be shared freely between threads.
+
+A distribution is built in one of four ways:
+
+- the public constructor ``DiscreteDistribution(values, probs)`` checks
+  every invariant and stores its own read-only copies of the arrays;
+- ``_from_columns`` (behind ``make_distribution``, the file readers and
+  inline tree leaves) cleans raw input: it drops zero masses, merges duplicate values, sorts
+  and, on request, renormalizes;
+- ``_combined`` finishes masses the package computes (combinators,
+  projection, ``baselines.opt_trim``): it drops points whose mass came out
+  as exactly 0 and rescales a total that drifted past ``MASS_TOL``;
+- ``_checked`` wraps fresh arrays that are known to meet every invariant,
+  without copying or checking them again.
 """
 
 from __future__ import annotations
@@ -67,15 +80,16 @@ class DiscreteDistribution:
 
     Invariants enforced on construction: values strictly increasing and
     finite, every probability strictly positive, total mass within
-    ``MASS_TOL`` of one.
+    ``MASS_TOL`` of one.  The stored arrays are read-only copies, so a
+    later change to the caller's arrays does not reach the distribution.
     """
 
     values: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         if values.ndim != 1 or probs.ndim != 1 or values.shape != probs.shape:
             raise ValueError("values and probs must be 1-D arrays of equal length")
         if values.size == 0:
@@ -89,8 +103,8 @@ class DiscreteDistribution:
 
     @classmethod
     def _checked(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
-        """Wrap float64 1-D arrays that already meet every invariant, without
-        checking them again."""
+        """Wrap fresh float64 1-D arrays, held by no one else, that already
+        meet every invariant, without copying or checking them again."""
         self = object.__new__(cls)
         self._freeze(values, probs)
         return self
@@ -252,7 +266,9 @@ def project_to_support(
     Mass in (t_{i-1}, t_i] moves to t_i, and everything above the
     second-largest target point moves to the largest one.  The result
     matches ``xpp``'s CDF at every target point except possibly the last,
-    which pins the distance at or below the original one.
+    which pins the distance at or below the original one.  A target point
+    that receives no mass, or mass that rounds to 0, is dropped, so the
+    result can hold fewer points than the target.
     """
     tv = target.values
     view = xpp.cdf
@@ -260,16 +276,21 @@ def project_to_support(
     bounds[0] = 0.0
     bounds[1:-1] = view.at(tv[:-1])
     bounds[-1] = view.total
-    probs = np.diff(bounds)
-    keep = probs > 0
-    return DiscreteDistribution(tv[keep], probs[keep])
+    return _combined(tv, np.diff(bounds))
 
 
 def _combined(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
-    """A combinator's output.  Each input's total may sit up to ``MASS_TOL``
-    from one, so a product of totals can land outside it; such an output is
+    """The distribution of masses the package computed on the strictly
+    increasing finite ``values``.
+
+    A point whose mass came out as exactly 0 (nothing landed there, or a
+    product or difference of masses rounded to 0) carries no probability,
+    so it is dropped.  Each input's total may sit up to ``MASS_TOL`` from
+    one, so a product of totals can land outside it; such an output is
     divided by its realised total.  Every other output is kept bit for bit,
     and a rescaled one is checked like any other."""
+    keep = probs > 0
+    values, probs = values[keep], probs[keep]
     try:
         return DiscreteDistribution(values, probs)
     except BadMassError:
@@ -279,7 +300,8 @@ def _combined(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
 def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
     """Distribution of the sum of two independent variables.
 
-    Support points that collide (exact float equality) are merged.
+    Support points that collide (exact float equality) are merged.  A sum
+    whose mass rounds to 0 (a product of two tiny masses) is dropped.
     """
     sums = np.add.outer(a.values, b.values).ravel()
     masses = np.multiply.outer(a.probs, b.probs).ravel()
@@ -295,18 +317,18 @@ def _combine_cdf(
         f = 1.0 - (1.0 - fa) * (1.0 - fb)
     else:
         f = fa * fb
-    pmf = np.diff(np.concatenate(([0.0], f)))
-    keep = pmf > 0
-    return _combined(ts[keep], pmf[keep])
+    return _combined(ts, np.diff(np.concatenate(([0.0], f))))
 
 
 def max_of(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
-    """Distribution of max(A, B) for independent A, B: F = F_a * F_b."""
+    """Distribution of max(A, B) for independent A, B: F = F_a * F_b.
+    A point whose computed mass rounds to 0 is dropped."""
     return _combine_cdf(a, b, minimum=False)
 
 
 def min_of(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
-    """Distribution of min(A, B) for independent A, B: 1-F = (1-F_a)(1-F_b)."""
+    """Distribution of min(A, B) for independent A, B: 1-F = (1-F_a)(1-F_b).
+    A point whose computed mass rounds to 0 is dropped."""
     return _combine_cdf(a, b, minimum=True)
 
 

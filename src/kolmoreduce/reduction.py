@@ -90,7 +90,7 @@ def _check_m(m: int) -> int:
 
 
 def _check_indices(indices, n: int | None = None) -> np.ndarray:
-    """Integer indices as a 1-D int64 array, non-empty and strictly
+    """Integer indices as a new 1-D int64 array, non-empty and strictly
     increasing, and within ``range(n)`` when ``n`` is given."""
     idx = np.asarray(indices)
     if idx.size == 0:
@@ -101,7 +101,7 @@ def _check_indices(indices, n: int | None = None) -> np.ndarray:
         )
     if idx.dtype.kind == "u" and idx.max() > np.iinfo(np.int64).max:
         raise ValueError("selection indices must fit in int64")
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    idx = np.array(idx, dtype=np.int64)
     if idx.size > 1 and not np.all(np.diff(idx) > 0):
         raise ValueError("selection indices must be strictly increasing")
     if n is not None and (idx[0] < 0 or idx[-1] >= n):
@@ -115,29 +115,22 @@ def segment_weight(cdf: CumulativeView, lo: int | None, hi: int | None) -> float
     ``lo=None`` / ``hi=None`` stand for the -inf / +inf sentinels.  The
     weight is the source mass strictly between the endpoints, halved for
     interior segments (both endpoints real), in full when either end is a
-    sentinel.
+    sentinel.  It is the entry of ``_segment_weights`` on the real
+    endpoints that lies between them, and the real endpoints are checked
+    as a selection's indices are: integers, increasing, within the support.
     """
-    n = cdf.values.size
-    if lo is not None and not 0 <= lo < n:
-        raise ValueError(f"lo index {lo} out of range")
-    if hi is not None and not 0 <= hi < n:
-        raise ValueError(f"hi index {hi} out of range")
-    if lo is not None and hi is not None and lo >= hi:
-        raise ValueError("need lo < hi in the extended order")
-    left = cdf.total if hi is None else float(cdf.cum_left[hi])
-    right = 0.0 if lo is None else float(cdf.cum[lo])
-    mass = left - right
-    if lo is None or hi is None:
-        return mass
-    return mass * 0.5
+    if lo is None and hi is None:
+        return cdf.total
+    ends = _check_indices([k for k in (lo, hi) if k is not None], cdf.values.size)
+    return float(_segment_weights(cdf, ends)[0 if lo is None else 1])
 
 
 def _segment_weights(view: CumulativeView, idx: np.ndarray, scale: float = 0.5) -> np.ndarray:
     """Weights of the ``idx.size + 1`` segments that keeping ``idx`` induces,
     left to right, with interior masses multiplied by ``scale`` (0.5 for the
     two-sided reduction, 1.0 for the one-sided one).  Same float expressions
-    as segment_weight and the DP sweep, so their maximum matches the DP
-    value of that support bit for bit."""
+    as the DP sweep, so their maximum matches the DP value of that support
+    bit for bit; ``segment_weight`` reads its single weight from here."""
     w = np.empty(idx.size + 1)
     w[0] = view.cum_left[idx[0]]
     w[1:-1] = (view.cum_left[idx[1:]] - view.cum[idx[:-1]]) * scale

@@ -1,5 +1,7 @@
 """Random distributions shared by the test modules."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -31,6 +33,13 @@ def masses(rng, kind, n):
     else:  # tied integer masses: many edge weights equal epsilon exactly
         p = rng.integers(1, 4, n).astype(np.float64)
     return p / p.sum()
+
+
+def binomial(n):
+    """Binomial(n, 1/2) on 0..n with correctly rounded masses.  At n = 600
+    the outer masses lie near 2**-600, so a product of two rounds to 0."""
+    probs = [math.comb(n, k) / 2**n for k in range(n + 1)]
+    return DiscreteDistribution(np.arange(n + 1.0), np.array(probs))
 
 
 @st.composite

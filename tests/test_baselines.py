@@ -138,6 +138,15 @@ class TestOptTrim:
         with pytest.raises(BadMError):
             opt_trim(UNIFORM4, 0)
 
+    def test_drops_a_kept_point_whose_segment_mass_rounds_to_zero(self):
+        # 0.5 + 1e-20 rounds to 0.5, so the segment kept at point 1 weighs 0.
+        x = DiscreteDistribution(np.arange(4.0), np.array([0.5, 1e-20, 0.5, 1e-20]))
+        result = opt_trim(x, 3)
+        assert result.approx.values.tolist() == [0.0, 2.0]
+        assert result.approx.probs.tolist() == [0.5, 0.5]
+        assert result.one_sided_valid
+        assert result.one_sided_error <= 1e-12
+
     @given(distributions(), st.integers(1, 12))
     @settings(max_examples=100, deadline=None)
     def test_always_one_sided(self, x, m):

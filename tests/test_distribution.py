@@ -21,7 +21,7 @@ from kolmoreduce import (
 )
 from kolmoreduce.distribution import MASS_TOL, _compensated_cumsum
 
-from generators import distributions, masses, random_distribution
+from generators import binomial, distributions, masses, random_distribution
 
 
 def dist(*pairs):
@@ -98,6 +98,25 @@ class TestMakeDistribution:
     def test_stored_arrays_immutable(self):
         with pytest.raises(ValueError):
             UNIFORM4.values[0] = 99.0
+
+
+class TestOwnsItsArrays:
+    def test_caller_arrays_stay_writeable(self):
+        values, probs = np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5])
+        d = DiscreteDistribution(values, probs)
+        assert values.flags.writeable and probs.flags.writeable
+        values[0] = 0.0
+        assert d.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_later_change_to_a_table_does_not_reach_it(self):
+        table = np.array([[1.0, 2.0, 3.0], [0.2, 0.3, 0.5]])
+        d = DiscreteDistribution(table[0], table[1])
+        d.cdf  # cached before the table changes
+        table[0, 2] = -5.0
+        table[1, 0] = 0.85
+        assert d.values.tolist() == [1.0, 2.0, 3.0]
+        assert d.probs.tolist() == [0.2, 0.3, 0.5]
+        assert np.array_equal(d.cdf.cum, _compensated_cumsum(d.probs)[1:])
 
 
 def _slow_compensated_cumsum(probs, block=4096):
@@ -322,6 +341,14 @@ class TestCombinators:
         out = combine(DRIFTED, DRIFTED)
         assert abs(math.fsum(out.probs.tolist()) - 1.0) <= MASS_TOL
         assert np.allclose(out.probs, combine(COIN, COIN).probs, rtol=0, atol=1e-8)
+
+    def test_convolve_drops_sums_whose_mass_underflows(self):
+        b = binomial(600)
+        out = convolve(b, b)
+        assert out.n < 1201
+        assert set(out.values.tolist()) <= set(range(1201))
+        assert abs(math.fsum(out.probs.tolist()) - 1.0) <= MASS_TOL
+        assert abs(out.probs[out.values == 600.0][0] - math.comb(1200, 600) / 2**1200) <= 1e-15
 
     def test_accepted_outputs_are_not_rescaled(self):
         # min_of's total stays inside MASS_TOL, so its masses are the plain

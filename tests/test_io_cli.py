@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -14,7 +15,7 @@ from kolmoreduce import (
 from kolmoreduce.cli import bench_errors, bench_instance, main
 from kolmoreduce.io import _load_csv_table, _parse_csv_rows, _wrap_validation
 
-from generators import random_distribution
+from generators import binomial, random_distribution
 
 UNIFORM4 = make_distribution([(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)])
 
@@ -270,6 +271,13 @@ class TestCmdReduce:
             main(["reduce", src, "--method", "magic", "--out", str(tmp_path / "r.csv")])
         assert info.value.code == 2
 
+    def test_opttrim_drops_a_point_whose_mass_rounds_to_zero(self, tmp_path, capsys):
+        src = write(tmp_path, "x.csv", "0,0.5\n1,1e-20\n2,0.5\n3,1e-20\n")
+        out = str(tmp_path / "y.csv")
+        assert main(["reduce", src, "--method", "opttrim", "--m", "3", "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("opttrim,2,")
+        assert read_distribution_file(out)[0] == make_distribution([(0, 0.5), (2, 0.5)])
+
 
 class TestCmdBench:
     def test_schema_and_determinism(self, tmp_path, capsys):
@@ -347,6 +355,15 @@ class TestCmdPipeline:
                      "--deadlines", "20", "--out", str(tmp_path / "p.csv")])
         assert code == 4
         capsys.readouterr()
+
+    def test_leaves_whose_convolution_underflows_exit_0(self, tmp_path, capsys):
+        b = binomial(600)
+        node = {"kind": "leaf", "inline": {"values": b.values.tolist(), "probs": b.probs.tolist()}}
+        tree = write(tmp_path, "t.json", json.dumps({"kind": "seq", "children": [node, node]}))
+        code = main(["pipeline", tree, "--m", "64", "--deadlines", "600",
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 0
+        assert "approx_support=" in capsys.readouterr().out
 
     def test_unparsable_tree_exits_2(self, tmp_path, capsys):
         bad = write(tmp_path, "t.json", '{"kind": "leaf"}')

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from kolmoreduce import (
 )
 from kolmoreduce.distribution import MASS_TOL
 
-from generators import random_distribution
+from generators import binomial, random_distribution
 
 COIN = make_distribution([(0, 0.5), (1, 0.5)])
 UNIFORM10 = make_distribution([(v, 0.1) for v in range(10)])
@@ -207,6 +208,15 @@ class TestRunPipeline:
         tree = seq(*[leaf(random_distribution(rng, n=12)) for _ in range(5)])
         report = run_pipeline(tree, np.linspace(0, 60, 25), m=6)
         assert report.d_k >= max(row[3] for row in report.rows) - 1e-12
+
+    def test_sum_of_binomials_whose_outer_masses_underflow(self):
+        b = binomial(600)
+        report = run_pipeline(seq(leaf(b), leaf(b)), [600.0], 64)
+        assert report.exact_support_size < 1201
+        assert report.approx_support_size <= 64
+        _, f_exact, _, delta = report.rows[0]
+        assert abs(f_exact - 0.5 - math.comb(1200, 600) / 2**1201) <= 1e-12
+        assert delta <= report.d_k < 0.05
 
     def test_reduced_matches_exact_under_huge_budget(self):
         tree = seq(leaf(UNIFORM10), leaf(UNIFORM10))

@@ -92,6 +92,17 @@ class TestSegmentWeight:
         assert 0.0 <= w <= 1.0 + 1e-12
 
 
+def test_segment_weight_checks_endpoints_as_selection_indices():
+    view = CumulativeView(UNIFORM4)
+    for lo, hi in [(None, True), (True, None), (0, 1.0), (1.5, None)]:
+        with pytest.raises(ValueError, match="selection indices must be a 1-D integer array"):
+            segment_weight(view, lo, hi)
+    with pytest.raises(ValueError, match="selection indices must be strictly increasing"):
+        segment_weight(view, 3, 1)
+    with pytest.raises(ValueError, match="selection indices out of range"):
+        segment_weight(view, None, 7)
+
+
 class TestEpsilonForSupport:
     def test_hand_enumerated_segments(self):
         assert epsilon_for_support(UNIFORM4, [0, 2]) == 0.25
@@ -133,6 +144,15 @@ class TestEpsilonForSupport:
         assert construct_on_support(UNIFORM4, idx) == construct_on_support(UNIFORM4, [0, 2])
         top = SupportSelection(np.array([2**63 - 1], dtype=np.uint64), 0.1)
         assert top.indices.tolist() == [2**63 - 1]
+
+    def test_selection_keeps_its_own_indices(self):
+        idx = np.array([0, 2])
+        SupportSelection(idx, 0.25)
+        assert idx.flags.writeable
+        table = np.array([[0, 2], [1, 3]])
+        sel = SupportSelection(table[0], 0.25)
+        table[0] = 0
+        assert sel.indices.tolist() == [0, 2]
 
     def test_rejects_nested_indices_by_shape(self):
         shape = r"selection indices must be a 1-D integer array, got int64 of shape \(1, 2\)"
