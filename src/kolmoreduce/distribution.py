@@ -301,8 +301,15 @@ def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistri
     """Distribution of the sum of two independent variables.
 
     Support points that collide (exact float equality) are merged.  A sum
-    whose mass rounds to 0 (a product of two tiny masses) is dropped.
+    whose mass rounds to 0 (a product of two tiny masses) is dropped.  Sums
+    beyond the float range raise ``NonFiniteValueError``.
     """
+    # Both supports are sorted and float addition is monotone, so every sum
+    # lies between the sums of the end points.
+    low = float(a.values[0]) + float(b.values[0])
+    high = float(a.values[-1]) + float(b.values[-1])
+    if math.isinf(low) or math.isinf(high):
+        raise NonFiniteValueError(f"support sums overflow the float range ({low!r} to {high!r})")
     sums = np.add.outer(a.values, b.values).ravel()
     masses = np.multiply.outer(a.probs, b.probs).ravel()
     uniq, inverse = np.unique(sums, return_inverse=True)

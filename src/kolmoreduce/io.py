@@ -6,6 +6,12 @@ line by line, which decides what is accepted and names the offending line.
 Writers emit 17 significant digits, so a write/read round trip reproduces
 every float exactly, and they go through a temp file plus rename so a
 failure never leaves a partial file behind.
+
+This module owns JSON input.  ``_load_json`` parses every JSON file, a
+distribution table or a task tree, and ``_table_from_object`` reads every
+``{"values": [...], "probs": [...]}`` object, from a JSON file or a tree's
+inline leaf, with one set of checks.  Their errors name the file, or
+"inline leaf".
 """
 
 from __future__ import annotations
@@ -90,25 +96,32 @@ def _read_csv(path: str, renormalize: bool) -> DiscreteDistribution:
     return _wrap_validation(path, *columns, renormalize)
 
 
-def _read_json(path: str, renormalize: bool) -> DiscreteDistribution:
+def _load_json(path: str):
+    """The parsed contents of a JSON file; a file that does not parse is
+    named in the error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise DistributionParseError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _table_from_object(obj, where: str, renormalize: bool = False) -> DiscreteDistribution:
+    """The distribution of a ``{"values": [...], "probs": [...]}`` object,
+    from a JSON file or an inline tree leaf; every fault names ``where``."""
     if not isinstance(obj, dict) or "values" not in obj or "probs" not in obj:
-        raise DistributionParseError(f"{path}: needs 'values' and 'probs' fields")
+        raise DistributionParseError(f"{where}: needs 'values' and 'probs' fields")
     values, probs = obj["values"], obj["probs"]
     if not isinstance(values, list) or not isinstance(probs, list) or len(values) != len(probs):
-        raise DistributionParseError(f"{path}: 'values' and 'probs' must be equal-length lists")
-    return _wrap_validation(path, values, probs, renormalize)
+        raise DistributionParseError(f"{where}: 'values' and 'probs' must be equal-length lists")
+    return _wrap_validation(where, values, probs, renormalize)
 
 
-def _wrap_validation(path: str, values, probs, renormalize: bool) -> DiscreteDistribution:
+def _wrap_validation(where: str, values, probs, renormalize: bool) -> DiscreteDistribution:
     try:
         return _from_columns(values, probs, renormalize=renormalize)
     except (KolmoreduceError, ValueError, TypeError) as exc:
-        raise DistributionParseError(f"{path}: {exc}") from None
+        raise DistributionParseError(f"{where}: {exc}") from None
 
 
 def read_distribution_file(
@@ -125,7 +138,7 @@ def read_distribution_file(
         if head.startswith("{"):
             fmt = "json"
     if fmt == "json":
-        return _read_json(path, renormalize), "json"
+        return _table_from_object(_load_json(path), path, renormalize), "json"
     return _read_csv(path, renormalize), "csv"
 
 

@@ -5,11 +5,14 @@ durations), parallel-max, or parallel-min.  Exact evaluation folds the
 combinators directly; reduced evaluation interleaves a support-size reducer
 so intermediate supports never blow up.  The composed result is no longer
 globally optimal, only each individual reduction step is.
+
+Trees are read from JSON: ``io`` parses the tree file and reads each leaf's
+table, inline or from its own file, so a tree's input faults are those of
+the distribution files.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -20,13 +23,13 @@ import numpy as np
 from .baselines import approximator
 from .distribution import (
     DiscreteDistribution,
-    _from_columns,
     convolve,
     kolmogorov_distance,
     max_of,
     min_of,
 )
 from .errors import SupportExplosionError
+from .io import _load_json, _table_from_object, read_distribution_file
 # perfbench's tracer test reads pipeline.reduce, so the name stays bound here.
 from .reduction import _check_m, reduce  # noqa: F401
 
@@ -89,16 +92,8 @@ def tree_from_json(obj: dict, base_dir: str | None = None) -> TaskTree:
     kind = obj["kind"]
     if kind == "leaf":
         if "inline" in obj:
-            inline = obj["inline"]
-            if not isinstance(inline, dict) or "values" not in inline or "probs" not in inline:
-                raise ValueError("inline leaf needs 'values' and 'probs' lists")
-            try:
-                dist = _from_columns(inline["values"], inline["probs"], renormalize=False)
-            except TypeError as exc:  # a non-numeric entry such as an object
-                raise ValueError(f"inline leaf: {exc}") from None
+            dist = _table_from_object(obj["inline"], "inline leaf")
         elif "file" in obj:
-            from .io import read_distribution_file
-
             path = obj["file"]
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
@@ -113,9 +108,7 @@ def tree_from_json(obj: dict, base_dir: str | None = None) -> TaskTree:
 def load_tree(path: str) -> TaskTree:
     """Read a task tree from a JSON file; leaf file paths resolve relative
     to the tree file's directory."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return tree_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    return tree_from_json(_load_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def fixture_path(name: str) -> str:

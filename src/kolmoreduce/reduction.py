@@ -95,7 +95,11 @@ def _check_indices(indices, n: int | None = None) -> np.ndarray:
     idx = np.asarray(indices)
     if idx.size == 0:
         raise ValueError("a selection needs at least one index")
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":  # bools are kind "b"
+    # An array of bools is kind "b"; numpy reads a bool beside integers as
+    # 0 or 1, so a sequence is searched for one.
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+        not isinstance(indices, np.ndarray) and any(isinstance(k, (bool, np.bool_)) for k in indices)
+    ):
         raise ValueError(
             f"selection indices must be a 1-D integer array, got {idx.dtype} of shape {idx.shape}"
         )

@@ -1,16 +1,18 @@
 """Mutation check of the bottleneck search's horizon kernel, bound, DP
-windows, extraction and selection.
+windows, extraction, selection and segment weights.
 
 Each mutant changes one spot in ``src/kolmoreduce/reduction.py``, inside
 ``_first_source``, ``_last_target``, ``_back_horizons``, ``_horizons``,
-``_quantile_support``, ``_bottleneck_epsilon``, ``_lex_min_support`` or
-``_select``:
+``_quantile_support``, ``_bottleneck_epsilon``, ``_lex_min_support``,
+``_select`` or ``_segment_weights``:
 
 - a comparison ``<=`` <-> ``<`` or ``>=`` <-> ``>``;
 - an offset ``x + k`` / ``x - k``, or an integer bound passed to ``bisect``,
   moved by -1 or +1;
 - ``bisect_left`` <-> ``bisect_right``, or a ``searchsorted`` side flipped;
-- a fix-up loop of the kernel dropped (its condition made false).
+- a fix-up loop of the kernel dropped (its condition made false);
+- a float constant ``0.5`` <-> ``1.0``: the two-sided and one-sided scales,
+  the scale of the entry and exit weights, a default argument included.
 
 Every mutant runs ``tests/test_reduction.py``, ``tests/test_acceptance.py``
 and ``tests/test_baselines.py`` on its own copy of the package, the kernel's
@@ -42,11 +44,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kolmoreduce"
 TESTS = [str(ROOT / "tests" / f"test_{name}.py") for name in ("reduction", "acceptance", "baselines")]
 TARGETS = ("_first_source", "_last_target", "_back_horizons", "_horizons", "_quantile_support",
-           "_bottleneck_epsilon", "_lex_min_support", "_select")
+           "_bottleneck_epsilon", "_lex_min_support", "_select", "_segment_weights")
 FIXUP_LOOPS = ("_first_source", "_last_target")
 SWAP_CMP = {ast.LtE: ast.Lt, ast.Lt: ast.LtE, ast.GtE: ast.Gt, ast.Gt: ast.GtE}
 SWAP_BISECT = {"bisect_left": "bisect_right", "bisect_right": "bisect_left"}
 SWAP_SIDE = {"left": "right", "right": "left"}
+SWAP_SCALE = {0.5: 1.0, 1.0: 0.5}
 # The tests that exercise the kernel and the windows run first, so that
 # most mutants die within seconds; the rest of the files runs after them.
 FIRST = "horizon or lex_min or bottleneck_epsilon or greedy or criterion_8"
@@ -78,6 +81,8 @@ def _variants(fn: str, node: ast.AST) -> list[tuple]:
         return [("side",)]
     if isinstance(node, ast.While) and fn in FIXUP_LOOPS:
         return [("drop",)]
+    if isinstance(node, ast.Constant) and type(node.value) is float and node.value in SWAP_SCALE:
+        return [("scale",)]
     return []
 
 
@@ -95,6 +100,8 @@ def _apply(node: ast.AST, variant: tuple) -> None:
         side = next((k.value.value for k in node.keywords if k.arg == "side"), "left")
         node.keywords = [k for k in node.keywords if k.arg != "side"]
         node.keywords.append(ast.keyword("side", ast.Constant(SWAP_SIDE[side])))
+    elif kind == "scale":
+        node.value = SWAP_SCALE[node.value]
     else:  # drop
         node.test = ast.Constant(False)
 
@@ -109,10 +116,10 @@ def mutants(source: str) -> list[tuple[str, str]]:
             mutated = copy.deepcopy(tree)
             sites = list(_sites(mutated))
             target = sites[k][1]
-            # An offset is shown with the expression around it, so that two
-            # equal offsets on one line can be told apart.
+            # An offset or a constant is shown with the expression around it,
+            # so that two equal ones on one line can be told apart.
             shown = target.test if variant[0] == "drop" else target
-            if variant[0] == "offset":
+            if variant[0] in ("offset", "scale"):
                 shown = next((n for _, n in sites if any(c is target for c in ast.iter_child_nodes(n))
                               and not isinstance(n, ast.stmt)), target)
             before = ast.unparse(shown)

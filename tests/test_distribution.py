@@ -59,6 +59,13 @@ class TestMakeDistribution:
             make_distribution([])
         with pytest.raises(EmptyDistributionError):
             make_distribution([(1, 0.0), (2, 0.0)])
+        with pytest.raises(EmptyDistributionError):
+            DiscreteDistribution([], [])
+
+    @pytest.mark.parametrize("rows", [[(1, 0.5, 9), (2, 0.5, 9)], [1, 2], [[[1, 1.0]]]])
+    def test_rows_must_be_pairs(self, rows):
+        with pytest.raises(ValueError, match="pairs"):
+            make_distribution(rows)
 
     def test_bad_mass_rejected(self):
         with pytest.raises(BadMassError):
@@ -94,6 +101,24 @@ class TestMakeDistribution:
             make_distribution([(float("nan"), 1.0)])
         with pytest.raises(NonFiniteValueError):
             make_distribution([(float("inf"), 1.0)])
+        with pytest.raises(NonFiniteValueError):
+            DiscreteDistribution([0.0, float("inf")], [0.5, 0.5])
+
+    @pytest.mark.parametrize("values, probs, message", [
+        ([1.0, 2.0], [1.0], "equal length"),
+        ([[1.0, 2.0]], [[0.5, 0.5]], "1-D"),
+        ([2.0, 1.0], [0.5, 0.5], "strictly increasing"),
+        ([1.0, 1.0], [0.5, 0.5], "strictly increasing"),
+    ])
+    def test_strict_constructor_checks_shape_and_order(self, values, probs, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteDistribution(values, probs)
+
+    def test_repr_and_comparison_with_other_types(self):
+        assert repr(COIN) == "DiscreteDistribution({0: 0.5, 1: 0.5})"
+        assert repr(dist(*[(v, 0.1) for v in range(10)])) == "DiscreteDistribution(n=10)"
+        assert COIN.__eq__((0, 1)) is NotImplemented
+        assert COIN != (0, 1)
 
     def test_stored_arrays_immutable(self):
         with pytest.raises(ValueError):
@@ -349,6 +374,17 @@ class TestCombinators:
         assert set(out.values.tolist()) <= set(range(1201))
         assert abs(math.fsum(out.probs.tolist()) - 1.0) <= MASS_TOL
         assert abs(out.probs[out.values == 600.0][0] - math.comb(1200, 600) / 2**1200) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_convolve_names_sums_that_overflow(self):
+        big = dist((0, 0.5), (1e308, 0.5))
+        with pytest.raises(NonFiniteValueError, match="overflow"):
+            convolve(big, big)
+        with pytest.raises(NonFiniteValueError, match="overflow"):
+            convolve(dist((-1e308, 0.5), (0, 0.5)), delta(-1e308))
+        # Sums at the edge of the range are still finite.
+        assert convolve(big, delta(-1e308)) == dist((-1e308, 0.5), (0, 0.5))
+        assert convolve(dist((1e308, 1.0)), delta(7e307)).values.tolist() == [1e308 + 7e307]
 
     def test_accepted_outputs_are_not_rescaled(self):
         # min_of's total stays inside MASS_TOL, so its masses are the plain

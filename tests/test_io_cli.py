@@ -61,6 +61,31 @@ class TestDistributionFiles:
         with pytest.raises(DistributionParseError, match="expected 2 fields"):
             read_distribution_file(path)
 
+    def test_brace_in_csv_file_reads_as_json(self, tmp_path):
+        path = write(tmp_path, "d.csv", '  {"values": [1, 2], "probs": [0.5, 0.5]}')
+        assert read_distribution_file(path) == (make_distribution([(1, 0.5), (2, 0.5)]), "json")
+        bad = write(tmp_path, "bad.csv", "{1,0.5\n2,0.5\n")
+        with pytest.raises(DistributionParseError, match="bad.csv: invalid JSON"):
+            read_distribution_file(bad)
+
+    def test_unknown_write_format(self, tmp_path):
+        path = str(tmp_path / "d.xml")
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            write_distribution_file(UNIFORM4, path, "xml")
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, fmt):
+        # Renaming a file onto a directory fails after the temp file is written.
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_distribution_file(UNIFORM4, str(target), fmt)
+        assert sorted(os.listdir(tmp_path)) == ["out"]
+        assert os.listdir(target) == []
+        with pytest.raises(OSError, match="cannot write"):
+            write_distribution_file(UNIFORM4, str(target / "missing" / "d.csv"), fmt)
+
     def test_missing_file(self):
         with pytest.raises(DistributionParseError, match="no such file"):
             read_distribution_file("/nonexistent/d.csv")
@@ -155,6 +180,10 @@ class TestCsvFastPath:
         '{"values": [1, 2, 3], "probs": [0.5, 0.5]}',
         '{"values": [], "probs": []}',
         '{"values": [{}], "probs": [1]}',
+        '{"values": [1, 2], "probs": [0.5,',
+        '{"values": [1]}',
+        '[[1, 1.0]]',
+        '{"values": 1, "probs": 1}',
     ])
     def test_bad_json_columns_rejected(self, tmp_path, body):
         path = write(tmp_path, "bad.json", body)
@@ -331,7 +360,9 @@ class TestCmdBench:
         assert main(["bench", "--n", "10", "--instances", "3", "--methods", "wat"]) == 2
         assert main(["bench", "--n", "10", "--instances", "3", "--m", "1",
                      "--methods", "trim"]) == 2
-        capsys.readouterr()
+        assert main(["bench", "--n", "10", "--instances", "3", "--m", ","]) == 2
+        assert main(["bench", "--n", "10", "--instances", "3", "--methods", " , "]) == 2
+        assert capsys.readouterr().err.count("empty --m or --methods list") == 2
 
 
 class TestCmdPipeline:
@@ -369,6 +400,20 @@ class TestCmdPipeline:
         bad = write(tmp_path, "t.json", '{"kind": "leaf"}')
         assert main(["pipeline", bad, "--m", "4", "--deadlines", "1"]) == 2
         capsys.readouterr()
+        truncated = write(tmp_path, "bad_tree.json", '{"kind": "seq", "children": [')
+        assert main(["pipeline", truncated, "--m", "4", "--deadlines", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {truncated}: invalid JSON (")
+        inline = write(tmp_path, "inline.json", json.dumps(
+            {"kind": "leaf", "inline": {"values": [1, 2], "probs": [0.5, 0.4]}}))
+        assert main(["pipeline", inline, "--m", "4", "--deadlines", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: inline leaf: total mass 0.9")
+
+    @pytest.mark.filterwarnings("error")
+    def test_leaves_whose_sum_overflows_exit_2(self, tmp_path, capsys):
+        node = {"kind": "leaf", "inline": {"values": [0, 1e308], "probs": [0.5, 0.5]}}
+        tree = write(tmp_path, "t.json", json.dumps({"kind": "seq", "children": [node, node]}))
+        assert main(["pipeline", tree, "--m", "4", "--deadlines", "1"]) == 2
+        assert "overflow" in capsys.readouterr().err
 
 
 class TestCmdOracle:

@@ -8,7 +8,9 @@ from kolmoreduce import (
     METHODS,
     BadMError,
     CumulativeView,
+    DistributionParseError,
     SupportExplosionError,
+    TaskTree,
     approximator,
     eval_exact,
     eval_reduced,
@@ -19,6 +21,7 @@ from kolmoreduce import (
     make_distribution,
     max_node,
     min_node,
+    read_distribution_file,
     reduce,
     run_pipeline,
     seq,
@@ -44,6 +47,13 @@ class TestTreeConstruction:
     def test_leaf_needs_distribution(self):
         with pytest.raises(ValueError):
             tree_from_json({"kind": "leaf"})
+        with pytest.raises(ValueError, match="exactly one distribution"):
+            TaskTree("leaf", children=(leaf(COIN),), dist=COIN)
+
+    @pytest.mark.parametrize("node", [[], "leaf", {"children": []}, {"kind": "seq", "children": [1]}])
+    def test_node_must_be_an_object_with_a_kind(self, node):
+        with pytest.raises(ValueError, match="must be an object with a 'kind' field"):
+            tree_from_json(node)
 
     def test_internal_needs_children(self):
         with pytest.raises(ValueError):
@@ -68,6 +78,24 @@ class TestTreeConstruction:
     def test_bad_inline_leaf_raises_value_error(self, inline):
         with pytest.raises(ValueError):
             tree_from_json({"kind": "leaf", "inline": inline})
+
+    @pytest.mark.parametrize("inline", [
+        {"values": [1, 2], "probs": [0.5, 0.4]},
+        {"values": 1, "probs": 1},
+        {"values": [1, 2, 3], "probs": [0.5, 0.5]},
+        {"values": [{}], "probs": [1]},
+        {"values": ["a"], "probs": [1]},
+        {"values": [1]},
+        [1, 2],
+    ])
+    def test_inline_leaf_fails_as_a_json_file_does(self, tmp_path, inline):
+        path = tmp_path / "leaf.json"
+        path.write_text(json.dumps(inline))
+        with pytest.raises(DistributionParseError) as from_file:
+            read_distribution_file(str(path))
+        with pytest.raises(DistributionParseError) as from_tree:
+            tree_from_json({"kind": "leaf", "inline": inline})
+        assert str(from_tree.value) == str(from_file.value).replace(str(path), "inline leaf")
 
     def test_file_leaf_resolves_relative_to_tree(self, tmp_path):
         (tmp_path / "inner").mkdir()

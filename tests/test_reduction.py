@@ -59,6 +59,7 @@ class TestSegmentWeight:
     def test_boundary_segment_counts_in_full(self):
         view = CumulativeView(UNIFORM4)
         assert segment_weight(view, None, 1) == 0.25
+        assert segment_weight(view, None, None) == view.total
 
     def test_empty_interior_segment(self):
         view = CumulativeView(UNIFORM4)
@@ -130,6 +131,19 @@ class TestEpsilonForSupport:
     def test_rejects_boolean_indices(self):
         with pytest.raises(ValueError, match="selection indices must be a 1-D integer array, got bool"):
             epsilon_for_support(UNIFORM4, [False, True])
+
+    def test_rejects_a_bool_beside_integers(self):
+        # numpy reads [0, True] as the int64 array [0, 1].
+        bool_type = "selection indices must be a 1-D integer array"
+        with pytest.raises(ValueError, match=bool_type):
+            SupportSelection([0, True], 0.1)
+        with pytest.raises(ValueError, match=bool_type):
+            segment_weight(CumulativeView(UNIFORM4), 0, True)
+        with pytest.raises(ValueError, match=bool_type):
+            epsilon_for_support(UNIFORM4, (np.bool_(False), 2))
+        with pytest.raises(ValueError, match=bool_type):
+            construct_on_support(UNIFORM4, [0, 1, False])
+        assert SupportSelection([0, np.int64(2)], 0.1).indices.tolist() == [0, 2]
 
     def test_rejects_unsigned_indices_past_int64(self):
         with pytest.raises(ValueError, match="selection indices must fit in int64"):
