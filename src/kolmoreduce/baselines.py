@@ -72,7 +72,11 @@ def trim_epsilon(x: DiscreteDistribution, eps: float) -> BaselineResult:
             keep_vals.append(v)
             keep_mass.append(p)
             absorbed = 0.0
-    return _assess(x, DiscreteDistribution(np.asarray(keep_vals), np.asarray(keep_mass)))
+    # The kept values are x's, in order.  The masses are x's regrouped, so
+    # they are positive and their total is x's up to one rounding per
+    # absorbed point: checking that total against MASS_TOL again could
+    # reject a valid x whose total sits at the tolerance's edge.
+    return _assess(x, DiscreteDistribution._checked(np.asarray(keep_vals), np.asarray(keep_mass)))
 
 
 def opt_trim(x: DiscreteDistribution, m: int) -> BaselineResult:
@@ -89,8 +93,7 @@ def opt_trim(x: DiscreteDistribution, m: int) -> BaselineResult:
     idx, _ = _select(x, m, one_sided=True)
     if idx.size == x.n:
         return _assess(x, x)
-    view = x.cdf
-    bounds = np.concatenate((view.cum_left[idx], [view.total]))
+    bounds = x.cdf.prefix[np.append(idx, x.n)]
     return _assess(x, _combined(x.values[idx], np.diff(bounds)))
 
 
@@ -99,10 +102,7 @@ def sample_reduce(
 ) -> BaselineResult:
     """Sampling baseline: empirical distribution of ``s`` draws, reduced with
     the optimal reducer if its support still exceeds ``m``."""
-    m = _check_m(m)
-    empirical = sample_empirical(x, s, seed)
-    approx = empirical if empirical.n <= m else reduce(empirical, m).approx
-    return _assess(x, approx)
+    return _assess(x, reduce(sample_empirical(x, s, seed), m).approx)
 
 
 # Reduction methods by name: the optimal reducer and the three baselines.

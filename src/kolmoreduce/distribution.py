@@ -6,8 +6,9 @@ never mutate their inputs, so values can be shared freely between threads.
 
 A distribution is built in one of four ways:
 
-- the public constructor ``DiscreteDistribution(values, probs)`` checks
-  every invariant and stores its own read-only copies of the arrays;
+- the public constructor ``DiscreteDistribution(values, probs)`` is for
+  arrays from outside the package: it checks every invariant and stores
+  its own read-only copies of the arrays;
 - ``_from_columns`` (behind ``make_distribution``, the file readers and
   inline tree leaves) cleans raw input: it drops zero masses, merges duplicate values, sorts
   and, on request, renormalizes;
@@ -15,7 +16,10 @@ A distribution is built in one of four ways:
   projection, ``baselines.opt_trim``): it drops points whose mass came out
   as exactly 0 and rescales a total that drifted past ``MASS_TOL``;
 - ``_checked`` wraps fresh arrays that are known to meet every invariant,
-  without copying or checking them again.
+  without copying or checking them again.  Every other distribution the
+  package computes (``construct_on_support``, ``sample_empirical``,
+  ``baselines.trim_epsilon``) finishes here, so the public constructor
+  never re-checks the package's own output.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import numpy as np
 
 from .errors import BadMassError, EmptyDistributionError, NonFiniteValueError
 
-# Total mass must sit within this of 1 for every stored distribution.
+# Total mass must sit within this of 1 for every distribution read from
+# outside.  Masses the package regroups (``construct_on_support``,
+# ``baselines.trim_epsilon``) keep that total up to a few roundings.
 MASS_TOL = 1e-9
 
 # Slack used when checking one-sided CDF domination.
@@ -142,28 +148,30 @@ class DiscreteDistribution:
 class CumulativeView:
     """Prefix-sum CDF over a distribution, for O(1) interval-mass queries.
 
-    ``cum[i]`` is F(values[i]); ``cum_left[i]`` is the left limit
-    F(values[i]^-).  Both are read-only views of one array of ``n + 1``
-    prefix sums.  ``total`` is the realized overall mass, used as the value
-    of F just below +inf so that complementary masses cancel exactly.
-    Obtain it as ``dist.cdf``, which builds it once per distribution.
+    ``prefix`` is the read-only array of the ``n + 1`` prefix sums, 0.0
+    first: ``prefix[k]`` is the mass of the first k points.  ``cum[i]`` is
+    F(values[i]) and ``cum_left[i]`` the left limit F(values[i]^-); both
+    are views of ``prefix``.  ``total`` is ``prefix[n]``, the realized
+    overall mass, used as the value of F just below +inf so that
+    complementary masses cancel exactly.  Obtain it as ``dist.cdf``, which
+    builds it once per distribution.
     """
 
-    __slots__ = ("values", "cum", "cum_left", "total")
+    __slots__ = ("values", "prefix", "cum", "cum_left", "total")
 
     def __init__(self, dist: DiscreteDistribution) -> None:
         self.values = dist.values
-        prefix = _compensated_cumsum(dist.probs)
-        prefix.flags.writeable = False
-        self.cum = prefix[1:]
-        self.cum_left = prefix[:-1]
-        self.total = float(prefix[-1])
+        self.prefix = _compensated_cumsum(dist.probs)
+        self.prefix.flags.writeable = False
+        self.cum = self.prefix[1:]
+        self.cum_left = self.prefix[:-1]
+        self.total = float(self.prefix[-1])
 
     def at(self, t) -> np.ndarray:
-        """CDF evaluated (right-continuously) at the points of ``t``."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.values, t, side="right")
-        return np.where(idx > 0, self.cum[np.maximum(idx - 1, 0)], 0.0)
+        """CDF evaluated (right-continuously) at the points of ``t``, as an
+        array of ``t``'s shape (0-d for a scalar)."""
+        idx = np.searchsorted(self.values, np.asarray(t, dtype=np.float64), side="right")
+        return np.asarray(self.prefix[idx])
 
 
 def make_distribution(
@@ -271,30 +279,30 @@ def project_to_support(
     result can hold fewer points than the target.
     """
     tv = target.values
-    view = xpp.cdf
-    bounds = np.empty(tv.size + 1)
-    bounds[0] = 0.0
-    bounds[1:-1] = view.at(tv[:-1])
-    bounds[-1] = view.total
+    cuts = np.searchsorted(xpp.values, tv[:-1], side="right")
+    bounds = xpp.cdf.prefix[np.concatenate(([0], cuts, [xpp.n]))]
     return _combined(tv, np.diff(bounds))
 
 
 def _combined(values: np.ndarray, probs: np.ndarray) -> DiscreteDistribution:
-    """The distribution of masses the package computed on the strictly
-    increasing finite ``values``.
+    """The distribution of masses the package computed on ``values``.
 
-    A point whose mass came out as exactly 0 (nothing landed there, or a
-    product or difference of masses rounded to 0) carries no probability,
-    so it is dropped.  Each input's total may sit up to ``MASS_TOL`` from
-    one, so a product of totals can land outside it; such an output is
-    divided by its realised total.  Every other output is kept bit for bit,
-    and a rescaled one is checked like any other."""
+    Every caller's ``values`` are float64, strictly increasing and finite
+    (``np.unique``, ``np.union1d``, a target's values, or ``x.values[idx]``
+    at increasing ``idx``), so they are not checked again.  A point whose
+    mass came out as exactly 0 (nothing landed there, or a product or
+    difference of masses rounded to 0) carries no probability, so it is
+    dropped; the rest are positive.  Each input's total may sit up to
+    ``MASS_TOL`` from one, so a product of totals can land outside it; only
+    such an output is changed: it is divided by its realised total and its
+    masses are checked again.  Every other output is kept bit for bit."""
     keep = probs > 0
     values, probs = values[keep], probs[keep]
-    try:
-        return DiscreteDistribution(values, probs)
-    except BadMassError:
-        return DiscreteDistribution(values, probs / math.fsum(probs.tolist()))
+    total = math.fsum(probs.tolist())
+    if abs(total - 1.0) > MASS_TOL:
+        probs = probs / total
+        _check_masses(probs)
+    return DiscreteDistribution._checked(values, probs)
 
 
 def convolve(a: DiscreteDistribution, b: DiscreteDistribution) -> DiscreteDistribution:
@@ -355,4 +363,7 @@ def sample_empirical(
     idx = np.searchsorted(x.cdf.cum, u, side="right")
     idx = np.minimum(idx, x.n - 1)
     uniq, counts = np.unique(idx, return_counts=True)
-    return DiscreteDistribution(x.values[uniq], counts / float(s))
+    # The values are x's at increasing positions.  Each count / s is
+    # positive and correctly rounded, so the masses' exact sum lies within
+    # 2**-53 of 1, far inside MASS_TOL.
+    return DiscreteDistribution._checked(x.values[uniq], counts / float(s))

@@ -85,16 +85,19 @@ def tree_from_json(obj: dict, base_dir: str | None = None) -> TaskTree:
     Internal nodes are ``{"kind": "seq"|"max"|"min", "children": [...]}``;
     leaves are ``{"kind": "leaf", "inline": {"values": [...], "probs": [...]}}``
     or ``{"kind": "leaf", "file": "path"}`` with the path resolved against
-    ``base_dir`` (the tree file's directory when loaded from disk).
+    ``base_dir`` (the tree file's directory when loaded from disk).  A
+    malformed node raises ``ValueError``.
     """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("tree node must be an object with a 'kind' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        raise ValueError("tree node must be an object with a 'kind' field naming its kind")
     kind = obj["kind"]
     if kind == "leaf":
         if "inline" in obj:
             dist = _table_from_object(obj["inline"], "inline leaf")
         elif "file" in obj:
             path = obj["file"]
+            if not isinstance(path, str):
+                raise ValueError(f"leaf 'file' must be a path string, got {type(path).__name__}")
             if base_dir is not None and not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             dist, _ = read_distribution_file(path)
@@ -102,6 +105,8 @@ def tree_from_json(obj: dict, base_dir: str | None = None) -> TaskTree:
             raise ValueError("leaf node needs an 'inline' table or a 'file' path")
         return leaf(dist)
     children = obj.get("children") or []
+    if not isinstance(children, list):
+        raise ValueError(f"a {kind!r} node's 'children' must be a list, got {type(children).__name__}")
     return TaskTree(kind, children=tuple(tree_from_json(c, base_dir) for c in children))
 
 

@@ -247,14 +247,6 @@ def _horizons(
     return _back_horizons(prefix, tau, count, scale), fwd
 
 
-def _prefix_list(view: CumulativeView) -> list[float]:
-    """The n + 1 prefix sums as Python floats, ``prefix[j] = cum_left[j]``
-    and ``prefix[n] = total``, for the scalar searches above."""
-    prefix = view.cum_left.tolist()
-    prefix.append(view.total)
-    return prefix
-
-
 def _bottleneck_epsilon(
     view: CumulativeView, prefix: list[float], m: int, *, one_sided: bool
 ) -> tuple[float, int]:
@@ -272,7 +264,7 @@ def _bottleneck_epsilon(
     in one pass over the rows that can reach the chunk, with a floor that
     removes the edges into columns at or before the row; so scratch memory
     is those rows times the chunk width.  ``prefix`` is
-    ``_prefix_list(view)``.
+    ``view.prefix.tolist()``.
 
     The quantile support's maximum segment weight T is an upper bound on
     the optimum, fixed for the call, and the horizons at T window each
@@ -339,7 +331,7 @@ def _bottleneck_epsilon(
 
 def _lex_min_support(prefix: list[float], m: int, eps: float, *, one_sided: bool) -> np.ndarray:
     """Lexicographically smallest support set achieving bottleneck <= eps,
-    over the prefix sums ``prefix`` of ``_prefix_list``.
+    over the n + 1 prefix sums ``prefix``, as Python floats.
 
     The backward horizons at ``eps`` say, for each remaining budget r, the
     first point from which the exit is still reachable with r points.  The
@@ -377,7 +369,7 @@ def _select(x: DiscreteDistribution, m: int, *, one_sided: bool) -> tuple[np.nda
     if m >= x.n:
         return np.arange(x.n, dtype=np.int64), 0.0
     view = x.cdf
-    prefix = _prefix_list(view)
+    prefix = view.prefix.tolist()
     eps, _ = _bottleneck_epsilon(view, prefix, m, one_sided=one_sided)
     # The extraction keeps every segment weight <= eps, and no support of
     # size m does better, so eps is the selection's maximum segment weight.

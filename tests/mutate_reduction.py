@@ -1,26 +1,33 @@
-"""Mutation check of the bottleneck search's horizon kernel, bound, DP
-windows, extraction, selection and segment weights.
+"""Mutation check of the bottleneck search and of the producers that build
+distributions from computed masses.
 
-Each mutant changes one spot in ``src/kolmoreduce/reduction.py``, inside
-``_first_source``, ``_last_target``, ``_back_horizons``, ``_horizons``,
-``_quantile_support``, ``_bottleneck_epsilon``, ``_lex_min_support``,
-``_select`` or ``_segment_weights``:
+Each mutant changes one spot inside one target function of one module:
 
-- a comparison ``<=`` <-> ``<`` or ``>=`` <-> ``>``;
+- ``src/kolmoreduce/reduction.py``: ``_first_source``, ``_last_target``,
+  ``_back_horizons``, ``_horizons``, ``_quantile_support``,
+  ``_bottleneck_epsilon``, ``_lex_min_support``, ``_select`` and
+  ``_segment_weights``;
+- ``src/kolmoreduce/distribution.py``: ``_combined``,
+  ``project_to_support`` and ``sample_empirical``;
+- ``src/kolmoreduce/baselines.py``: ``trim_epsilon`` and ``opt_trim``.
+
+The changes are:
+
+- a comparison ``<=`` <-> ``<``, ``>=`` <-> ``>`` or ``==`` <-> ``!=``;
 - an offset ``x + k`` / ``x - k``, or an integer bound passed to ``bisect``,
   moved by -1 or +1;
 - ``bisect_left`` <-> ``bisect_right``, or a ``searchsorted`` side flipped;
-- a fix-up loop of the kernel dropped (its condition made false);
+- a fix-up loop of the horizon kernel dropped (its condition made false);
 - a float constant ``0.5`` <-> ``1.0``: the two-sided and one-sided scales,
-  the scale of the entry and exit weights, a default argument included.
+  the scale of the entry and exit weights, a default argument included,
+  and the unit total of a mass check.
 
-Every mutant runs ``tests/test_reduction.py``, ``tests/test_acceptance.py``
-and ``tests/test_baselines.py`` on its own copy of the package, the kernel's
-own tests first, and the mutants that no test kills are listed at the end.
-A target that is missing from ``reduction.py``, or has nothing to mutate,
-stops the script with a non-zero exit.  A run that overruns
-three times the unmutated run counts as killed.  The file name keeps it
-out of pytest's collection.  From the repository root:
+Every mutant runs its module's test files on its own copy of the package,
+the tests closest to the targets first, and the mutants that no test kills
+are listed at the end.  A target that is missing from its module, or has
+nothing to mutate, stops the script with a non-zero exit.  A run that
+overruns three times the unmutated run counts as killed.  The file name
+keeps it out of pytest's collection.  From the repository root:
 
     python tests/mutate_reduction.py            # run every mutant
     python tests/mutate_reduction.py --list     # only list them
@@ -38,29 +45,57 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kolmoreduce"
-TESTS = [str(ROOT / "tests" / f"test_{name}.py") for name in ("reduction", "acceptance", "baselines")]
-TARGETS = ("_first_source", "_last_target", "_back_horizons", "_horizons", "_quantile_support",
-           "_bottleneck_epsilon", "_lex_min_support", "_select", "_segment_weights")
+
+
+@dataclass(frozen=True)
+class Module:
+    """A module's target functions, the test files run against its mutants,
+    and a ``-k`` expression for the tests of the first file that run
+    first, so that most mutants die within seconds; the rest of the files
+    runs after them."""
+
+    targets: tuple[str, ...]
+    tests: tuple[str, ...]
+    first: str
+
+    def stages(self) -> list[tuple[list[str], str]]:
+        files = [str(ROOT / "tests" / f"test_{name}.py") for name in self.tests]
+        return [(files[:1], self.first), (files, f"not ({self.first})")]
+
+
+MODULES = {
+    "reduction": Module(
+        ("_first_source", "_last_target", "_back_horizons", "_horizons", "_quantile_support",
+         "_bottleneck_epsilon", "_lex_min_support", "_select", "_segment_weights"),
+        ("reduction", "acceptance", "baselines"),
+        "horizon or lex_min or bottleneck_epsilon or greedy or criterion_8"),
+    "distribution": Module(
+        ("_combined", "project_to_support", "sample_empirical"),
+        ("distribution", "computed_masses", "baselines", "pipeline"),
+        "Project or Combinators or Sampling"),
+    "baselines": Module(
+        ("trim_epsilon", "opt_trim"),
+        ("baselines", "computed_masses", "io_cli"),
+        "trim"),
+}
 FIXUP_LOOPS = ("_first_source", "_last_target")
-SWAP_CMP = {ast.LtE: ast.Lt, ast.Lt: ast.LtE, ast.GtE: ast.Gt, ast.Gt: ast.GtE}
+SWAP_CMP = {ast.LtE: ast.Lt, ast.Lt: ast.LtE, ast.GtE: ast.Gt, ast.Gt: ast.GtE,
+            ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 SWAP_BISECT = {"bisect_left": "bisect_right", "bisect_right": "bisect_left"}
 SWAP_SIDE = {"left": "right", "right": "left"}
 SWAP_SCALE = {0.5: 1.0, 1.0: 0.5}
-# The tests that exercise the kernel and the windows run first, so that
-# most mutants die within seconds; the rest of the files runs after them.
-FIRST = "horizon or lex_min or bottleneck_epsilon or greedy or criterion_8"
-STAGES = [(TESTS[:1], FIRST), (TESTS, f"not ({FIRST})")]
 JOBS = 2  # mutants run at once, each one pytest process
 
 
-def _sites(tree: ast.Module):
+def _sites(tree: ast.Module, targets: tuple[str, ...]):
     """Every node inside a target function, in a fixed order."""
     for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in TARGETS:
+        if isinstance(fn, ast.FunctionDef) and fn.name in targets:
             for node in ast.walk(fn):
                 yield fn.name, node
 
@@ -106,15 +141,15 @@ def _apply(node: ast.AST, variant: tuple) -> None:
         node.test = ast.Constant(False)
 
 
-def mutants(source: str) -> list[tuple[str, str]]:
-    """(description, mutated source) for every mutant of ``source``; exits
-    non-zero when some target yields none."""
+def mutants(source: str, targets: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(description, mutated source) for every mutant of the ``targets`` in
+    ``source``; exits non-zero when some target yields none."""
     tree = ast.parse(source)
     out = []
-    for k, (fn, node) in enumerate(_sites(tree)):
+    for k, (fn, node) in enumerate(_sites(tree, targets)):
         for variant in _variants(fn, node):
             mutated = copy.deepcopy(tree)
-            sites = list(_sites(mutated))
+            sites = list(_sites(mutated, targets))
             target = sites[k][1]
             # An offset or a constant is shown with the expression around it,
             # so that two equal ones on one line can be told apart.
@@ -129,24 +164,24 @@ def mutants(source: str) -> list[tuple[str, str]]:
             else:
                 change = f"`{before}` -> `{ast.unparse(shown)}`"
             out.append((f"{fn}:{node.lineno}: {change}", ast.unparse(mutated)))
-    missing = [t for t in TARGETS if not any(desc.startswith(f"{t}:") for desc, _ in out)]
+    missing = [t for t in targets if not any(desc.startswith(f"{t}:") for desc, _ in out)]
     if missing:
-        sys.exit(f"no mutant in {', '.join(missing)}: missing from reduction.py or nothing to mutate")
+        sys.exit(f"no mutant in {', '.join(missing)}: missing from its module or nothing to mutate")
     return out
 
 
-def _run(source: str | None, timeouts: list[float] | None) -> tuple[str, list[float]]:
-    """Run the stages on a copy of the package with ``reduction.py``
-    replaced by ``source`` (unchanged when None): "survived", "killed" or
-    "timeout", and the time each stage took."""
+def _run(name: str, source: str | None, timeouts: list[float] | None) -> tuple[str, list[float]]:
+    """Run the module's stages on a copy of the package with the module
+    ``name`` replaced by ``source`` (unchanged when None): "survived",
+    "killed" or "timeout", and the time each stage took."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         shutil.copytree(PACKAGE, Path(tmp) / "kolmoreduce", ignore=shutil.ignore_patterns("__pycache__"))
         if source is not None:
-            (Path(tmp) / "kolmoreduce" / "reduction.py").write_text(source)
+            (Path(tmp) / "kolmoreduce" / f"{name}.py").write_text(source)
         took = []
-        for s, (files, expr) in enumerate(STAGES):
+        for s, (files, expr) in enumerate(MODULES[name].stages()):
             cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                    "-o", f"pythonpath={tmp}", *files, "-k", expr]
             start = time.perf_counter()
@@ -167,26 +202,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
-    found = mutants((PACKAGE / "reduction.py").read_text())
+    found = {name: mutants((PACKAGE / f"{name}.py").read_text(), module.targets)
+             for name, module in MODULES.items()}
     if args.list:
-        for desc, _ in found:
-            print(desc)
+        for name, items in found.items():
+            for desc, _ in items:
+                print(f"{name}.{desc}")
         return 0
     start = time.perf_counter()
-    _, took = _run(None, None)
-    timeouts = [3 * t + 10 for t in took]
-    print(f"{len(found)} mutants; unmutated stages took " + ", ".join(f"{t:.0f}s" for t in took), flush=True)
+    survivors = []
+    total = 0
+    for name, items in found.items():
+        _, took = _run(name, None, None)
+        timeouts = [3 * t + 10 for t in took]
+        print(f"{name}: {len(items)} mutants; unmutated stages took "
+              + ", ".join(f"{t:.0f}s" for t in took), flush=True)
 
-    def one(item):
-        desc, source = item
-        verdict, _ = _run(source, timeouts)
-        print(f"{verdict:9s} {desc}", flush=True)
-        return verdict, desc
+        def one(item):
+            desc, source = item
+            verdict, _ = _run(name, source, timeouts)
+            print(f"{verdict:9s} {name}.{desc}", flush=True)
+            return verdict, f"{name}.{desc}"
 
-    with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        results = list(pool.map(one, found))
-    survivors = [desc for verdict, desc in results if verdict == "survived"]
-    print(f"\n{len(found) - len(survivors)} of {len(found)} killed in {time.perf_counter() - start:.0f}s; "
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            results = list(pool.map(one, items))
+        survivors += [desc for verdict, desc in results if verdict == "survived"]
+        total += len(items)
+    print(f"\n{total - len(survivors)} of {total} killed in {time.perf_counter() - start:.0f}s; "
           f"{len(survivors)} survived:")
     for desc in survivors:
         print(f"  {desc}")

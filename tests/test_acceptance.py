@@ -20,7 +20,7 @@ from kolmoreduce import (
     segment_weight,
 )
 from kolmoreduce.cli import bench_errors, bench_instance, main
-from kolmoreduce.reduction import _DP_BLOCK, _bottleneck_epsilon, _prefix_list
+from kolmoreduce.reduction import _DP_BLOCK, _bottleneck_epsilon
 
 TOL = 1e-12
 
@@ -165,7 +165,7 @@ def test_criterion_8_complexity_smoke():
     # is rather than n^2 m, so each case is held to a small share of the
     # dense DP, which neither the dense DP nor row bounds alone can meet.
     def cells(x, m):
-        return _bottleneck_epsilon(x.cdf, _prefix_list(x.cdf), m, one_sided=False)[1]
+        return _bottleneck_epsilon(x.cdf, x.cdf.prefix.tolist(), m, one_sided=False)[1]
 
     def dense_cells(n, m):
         blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]

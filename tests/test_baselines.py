@@ -68,6 +68,21 @@ class TestTrim:
             with pytest.raises(BadEpsError):
                 trim_epsilon(UNIFORM4, eps)
 
+    def test_total_at_the_tolerance_edge(self):
+        # x's total is the largest that MASS_TOL accepts; the group sums
+        # round it up past the tolerance, which must not reject the trim.
+        edge = 1.0000000009999999
+        p = np.random.default_rng(11).random(19)
+        p = p / math.fsum(p.tolist()) * edge
+        x = DiscreteDistribution(np.arange(19.0), p)
+        assert math.fsum(x.probs.tolist()) == edge
+        result = trim_epsilon(x, 0.1)
+        leaders = np.searchsorted(x.values, result.approx.values).tolist()
+        probs = x.probs.tolist()
+        sums = [list(itertools.accumulate(probs[a:b]))[-1] for a, b in zip(leaders, leaders[1:] + [x.n])]
+        assert result.approx.probs.tolist() == sums
+        assert result.one_sided_valid
+
     @given(distributions(), st.floats(0.01, 0.99))
     @settings(max_examples=100, deadline=None)
     def test_one_sided_and_within_eps(self, x, eps):

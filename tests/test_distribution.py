@@ -392,11 +392,26 @@ class TestCombinators:
         f = DRIFTED.cdf.at(DRIFTED.values)
         pmf = np.diff(np.concatenate(([0.0], 1.0 - (1.0 - f) * (1.0 - f))))
         assert np.array_equal(min_of(DRIFTED, DRIFTED).probs, pmf)
+        # A total of 1 + 9e-10 is kept too: the masses are the plain sums of
+        # products, not divided by the total.
+        products = np.multiply.outer(DRIFTED.probs, COIN.probs).ravel()
+        assert np.array_equal(convolve(DRIFTED, COIN).probs, np.bincount([0, 1, 1, 2], weights=products))
 
 
 class TestSampling:
     def test_point_mass_samples_to_itself(self):
         assert sample_empirical(delta(7), 25, seed=3) == delta(7)
+        assert sample_empirical(delta(7), 1, seed=3) == delta(7)
+
+    def test_draws_above_the_realised_total_land_on_the_last_point(self):
+        # The masses sum to 1 - 9e-10, and one of seed 2722's 10**6 draws
+        # lies above that: it belongs to the last point.
+        x = dist((0, 0.5), (1, 0.5 - 9e-10))
+        u = np.random.Generator(np.random.PCG64(2722)).random(10**6)
+        assert u.max() >= x.cdf.total
+        emp = sample_empirical(x, 10**6, seed=2722)
+        assert emp.values.tolist() == [0.0, 1.0]
+        assert emp.probs.tolist() == [np.count_nonzero(u < 0.5) / 10**6, np.count_nonzero(u >= 0.5) / 10**6]
 
     def test_deterministic_given_seed(self):
         a = sample_empirical(UNIFORM4, 500, seed=11)

@@ -12,8 +12,10 @@ from kolmoreduce import (
     read_distribution_file,
     write_distribution_file,
 )
+from kolmoreduce import cli, reduction
 from kolmoreduce.cli import bench_errors, bench_instance, main
 from kolmoreduce.io import _load_csv_table, _parse_csv_rows, _wrap_validation
+from kolmoreduce.pipeline import tree_from_json
 
 from generators import binomial, random_distribution
 
@@ -307,6 +309,30 @@ class TestCmdReduce:
         assert capsys.readouterr().out.startswith("opttrim,2,")
         assert read_distribution_file(out)[0] == make_distribution([(0, 0.5), (2, 0.5)])
 
+    def test_certificate_mismatch_exits_3_without_output(self, tmp_path, capsys, monkeypatch):
+        src = write(tmp_path, "u4.csv", "1,0.25\n2,0.25\n3,0.25\n4,0.25\n")
+        out = str(tmp_path / "r.csv")
+        monkeypatch.setattr(cli, "kolmogorov_distance", lambda a, b: 0.5)
+        assert main(["reduce", src, "--m", "2", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: certified distance does not match the constructed output\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
+    def test_internal_assertion_exits_3_without_output(self, tmp_path, capsys, monkeypatch):
+        src = write(tmp_path, "u4.csv", "1,0.25\n2,0.25\n3,0.25\n4,0.25\n")
+        out = str(tmp_path / "r.csv")
+
+        def broken(*args, **kwargs):
+            raise AssertionError("bottleneck extraction hit an infeasible edge")
+
+        monkeypatch.setattr(reduction, "_lex_min_support", broken)
+        assert main(["reduce", src, "--m", "2", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: bottleneck extraction hit an infeasible edge\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
 
 class TestCmdBench:
     def test_schema_and_determinism(self, tmp_path, capsys):
@@ -407,6 +433,18 @@ class TestCmdPipeline:
             {"kind": "leaf", "inline": {"values": [1, 2], "probs": [0.5, 0.4]}}))
         assert main(["pipeline", inline, "--m", "4", "--deadlines", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: inline leaf: total mass 0.9")
+
+    @pytest.mark.parametrize("node, message", [
+        ({"kind": "seq", "children": 5}, "'seq' node's 'children' must be a list, got int"),
+        ({"kind": "leaf", "file": 3}, "leaf 'file' must be a path string, got int"),
+        ({"kind": ["seq"], "children": []}, "must be an object with a 'kind' field"),
+    ])
+    def test_malformed_tree_node_exits_2(self, tmp_path, capsys, node, message):
+        with pytest.raises(ValueError, match=message):
+            tree_from_json(node, str(tmp_path))
+        tree = write(tmp_path, "t.json", json.dumps(node))
+        assert main(["pipeline", tree, "--m", "4", "--deadlines", "1"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")
     def test_leaves_whose_sum_overflows_exit_2(self, tmp_path, capsys):

@@ -25,7 +25,6 @@ from kolmoreduce.reduction import (
     _horizons,
     _last_target,
     _lex_min_support,
-    _prefix_list,
     _quantile_support,
     _segment_weights,
 )
@@ -415,8 +414,8 @@ def test_lex_min_support_matches_slow_reference(kind):
     for n, m in cases:
         view = _instance(rng, kind, n).cdf
         for one_sided in (False, True):
-            eps, _ = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
-            fast = _lex_min_support(_prefix_list(view), m, eps, one_sided=one_sided)
+            eps, _ = _bottleneck_epsilon(view, view.prefix.tolist(), m, one_sided=one_sided)
+            fast = _lex_min_support(view.prefix.tolist(), m, eps, one_sided=one_sided)
             slow = _slow_lex_min_support(view, m, eps, halve=not one_sided, pinned_first=one_sided)
             assert fast.tolist() == slow.tolist(), (kind, n, m, one_sided)
 
@@ -433,9 +432,9 @@ def test_lex_min_support_matches_vectorised_reference_at_large_n(kind):
             support = _quantile_support(view, m, one_sided=one_sided)
             thresholds = [float(np.max(_segment_weights(view, support, scale)))]
             if n <= 20000 and not one_sided:
-                thresholds.append(_bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)[0])
+                thresholds.append(_bottleneck_epsilon(view, view.prefix.tolist(), m, one_sided=one_sided)[0])
             for eps in thresholds:
-                fast = _lex_min_support(_prefix_list(view), m, eps, one_sided=one_sided)
+                fast = _lex_min_support(view.prefix.tolist(), m, eps, one_sided=one_sided)
                 ref = _vectorised_lex_min_support(view, m, eps, one_sided=one_sided)
                 assert fast.tolist() == ref.tolist(), (kind, n, m, one_sided, eps)
 
@@ -450,7 +449,7 @@ def test_lex_min_support_rejects_epsilon_below_the_optimum(kind):
         m = 1 if case % 10 == 0 else int(rng.integers(2, min(n, 40)))
         view = _instance(rng, kind, n).cdf
         for one_sided in (False, True):
-            eps, _ = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
+            eps, _ = _bottleneck_epsilon(view, view.prefix.tolist(), m, one_sided=one_sided)
             assert eps > 0.0
             below = np.nextafter(eps, 0.0)
             if one_sided and m == 1:
@@ -458,7 +457,7 @@ def test_lex_min_support_rejects_epsilon_below_the_optimum(kind):
             else:
                 message = "bottleneck extraction hit an infeasible edge"
             with pytest.raises(AssertionError, match=message):
-                _lex_min_support(_prefix_list(view), m, below, one_sided=one_sided)
+                _lex_min_support(view.prefix.tolist(), m, below, one_sided=one_sided)
 
 
 def _prefix(view):
@@ -561,7 +560,7 @@ def test_epsilon_is_optimal_by_greedy_witness(kind):
         for one_sided in (False, True):
             if m >= n:
                 continue
-            eps, _ = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
+            eps, _ = _bottleneck_epsilon(view, view.prefix.tolist(), m, one_sided=one_sided)
             assert _greedy_points(view, eps, one_sided=one_sided) <= m, (kind, n, m, one_sided)
             if eps > 0.0:
                 below = np.nextafter(eps, 0.0)
@@ -613,7 +612,7 @@ def _dense_bottleneck_epsilon(view, m, *, halve, pinned_first):
 def _check_against_dense(view, m, modes=(False, True)):
     n = view.cum.size
     for one_sided in modes:
-        eps, cells = _bottleneck_epsilon(view, _prefix_list(view), m, one_sided=one_sided)
+        eps, cells = _bottleneck_epsilon(view, view.prefix.tolist(), m, one_sided=one_sided)
         dense = _dense_bottleneck_epsilon(view, m, halve=not one_sided, pinned_first=one_sided)
         assert eps == dense, (n, m, one_sided)
         blocks = [(a, min(a + _DP_BLOCK, n)) for a in range(0, n, _DP_BLOCK)]
@@ -643,7 +642,7 @@ def test_bottleneck_epsilon_matches_dense_reference_within_one_block(kind):
                 continue
             for one_sided in (False, True):
                 dense = _dense_bottleneck_epsilon(view, 1, halve=not one_sided, pinned_first=one_sided)
-                assert _bottleneck_epsilon(view, _prefix_list(view), 1, one_sided=one_sided) == (dense, 0)
+                assert _bottleneck_epsilon(view, view.prefix.tolist(), 1, one_sided=one_sided) == (dense, 0)
 
 
 def test_bottleneck_epsilon_matches_dense_reference_on_convolved_grids():
@@ -674,7 +673,7 @@ def test_one_sided_bound_cuts_the_mass_at_whole_shares(kind):
     # the windows then hold a handful of edge weights, not tens of millions.
     rng = np.random.default_rng(80 + KINDS.index(kind))
     view = _instance(rng, kind, 20000).cdf
-    eps, cells = _bottleneck_epsilon(view, _prefix_list(view), 3, one_sided=True)
+    eps, cells = _bottleneck_epsilon(view, view.prefix.tolist(), 3, one_sided=True)
     assert eps == _dense_bottleneck_epsilon(view, 3, halve=False, pinned_first=True)
     assert cells <= 1000, cells
 
